@@ -39,22 +39,6 @@ let workload_names : (string * (zipf:float -> Workload.Gen.t)) list =
 
 (* --- metrics JSON ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
 let attribution_classes breakdowns =
   [
     ("all", breakdowns);
@@ -72,13 +56,12 @@ let max_sum_mismatch breakdowns =
         (abs (Metrics.Attribution.total b.Metrics.Attribution.t_seg - b.Metrics.Attribution.t_e2e_us)))
     0 breakdowns
 
-let write_metrics_json ~file metered =
-  let oc = open_out file in
+let write_metrics_json oc metered =
   let fields oc kvs =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then output_string oc ",";
-        Printf.fprintf oc "\"%s\":%s" (json_escape k) v)
+        Printf.fprintf oc "\"%s\":%s" (Trace.json_escape k) v)
       kvs
   in
   (* schema_version: bumped whenever the shape of this document changes.
@@ -93,7 +76,7 @@ let write_metrics_json ~file metered =
       let reg = m.Harness.Experiment.m_registry in
       let breakdowns = m.Harness.Experiment.m_breakdowns in
       Printf.fprintf oc "\n{\"system\":\"%s\",\"seed\":%d,\"interval_us\":%d,\n"
-        (json_escape sys_name) seed (Metrics.Registry.interval reg);
+        (Trace.json_escape sys_name) seed (Metrics.Registry.interval reg);
       (* Per-window time series: one object per sampling window, samples keyed
          by instrument name. *)
       output_string oc "\"windows\":[";
@@ -103,7 +86,7 @@ let write_metrics_json ~file metered =
           Printf.fprintf oc "\n  {\"start_us\":%d,\"end_us\":%d,\"samples\":{"
             w.Metrics.Registry.w_start w.Metrics.Registry.w_end;
           fields oc
-            (List.map (fun (k, v) -> (k, json_float v)) w.Metrics.Registry.samples);
+            (List.map (fun (k, v) -> (k, Trace.json_float v)) w.Metrics.Registry.samples);
           output_string oc "}}")
         (Metrics.Registry.windows reg);
       output_string oc "],\n\"histograms\":[";
@@ -112,9 +95,9 @@ let write_metrics_json ~file metered =
           if hi > 0 then output_string oc ",";
           let n = Metrics.Registry.hist_count h in
           let pct p =
-            if n = 0 then "null" else json_float (Metrics.Registry.hist_percentile h ~p)
+            if n = 0 then "null" else Trace.json_float (Metrics.Registry.hist_percentile h ~p)
           in
-          Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," (json_escape hname) n;
+          Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," (Trace.json_escape hname) n;
           fields oc [ ("p50_ms", pct 0.50); ("p95_ms", pct 0.95); ("p99_ms", pct 0.99) ];
           output_string oc "}")
         (Metrics.Registry.histograms reg);
@@ -131,17 +114,17 @@ let write_metrics_json ~file metered =
               fields oc
                 [
                   ("n", string_of_int a.Metrics.Attribution.n);
-                  ("e2e_mean_ms", json_float a.Metrics.Attribution.e2e_mean_ms);
-                  ("e2e_p95_ms", json_float a.Metrics.Attribution.e2e_p95_ms);
-                  ("e2e_p99_ms", json_float a.Metrics.Attribution.e2e_p99_ms);
-                  ("residual_fraction", json_float (Metrics.Attribution.residual_fraction a));
+                  ("e2e_mean_ms", Trace.json_float a.Metrics.Attribution.e2e_mean_ms);
+                  ("e2e_p95_ms", Trace.json_float a.Metrics.Attribution.e2e_p95_ms);
+                  ("e2e_p99_ms", Trace.json_float a.Metrics.Attribution.e2e_p99_ms);
+                  ("residual_fraction", Trace.json_float (Metrics.Attribution.residual_fraction a));
                 ];
               output_string oc ",\"mean_us\":{";
               fields oc
-                (List.map (fun (k, v) -> (k, json_float v)) a.Metrics.Attribution.mean_us);
+                (List.map (fun (k, v) -> (k, Trace.json_float v)) a.Metrics.Attribution.mean_us);
               output_string oc "},\"tail99_us\":{";
               fields oc
-                (List.map (fun (k, v) -> (k, json_float v)) a.Metrics.Attribution.tail99_us);
+                (List.map (fun (k, v) -> (k, Trace.json_float v)) a.Metrics.Attribution.tail99_us);
               output_string oc "}}")
         (attribution_classes breakdowns);
       Printf.fprintf oc "},\n\"attribution_check\":{\"txns\":%d,\"max_sum_mismatch_us\":%d},"
@@ -190,13 +173,13 @@ let write_metrics_json ~file metered =
           if i > 0 then output_string oc ",";
           Printf.fprintf oc
             "\n  {\"label\":\"%s\",\"class\":\"%s\",\"e2e_us\":%d,\"wait_us\":%d,\"timeline\":["
-            (json_escape ex.Metrics.Blame.ex_label)
+            (Trace.json_escape ex.Metrics.Blame.ex_label)
             (if ex.Metrics.Blame.ex_high then "high" else "low")
             ex.Metrics.Blame.ex_e2e_us ex.Metrics.Blame.ex_wait_us;
           List.iteri
             (fun li l ->
               if li > 0 then output_string oc ",";
-              Printf.fprintf oc "\"%s\"" (json_escape l))
+              Printf.fprintf oc "\"%s\"" (Trace.json_escape l))
             (ex.Metrics.Blame.ex_charges @ ex.Metrics.Blame.ex_timeline);
           output_string oc "]}")
         bl.Metrics.Blame.b_exemplars;
@@ -204,12 +187,27 @@ let write_metrics_json ~file metered =
         bl.Metrics.Blame.b_n
         (Metrics.Blame.max_mismatch breakdowns))
     metered;
-  output_string oc "\n]}\n";
-  close_out oc
+  output_string oc "\n]}\n"
+
+let print_trace_totals traffic =
+  Printf.printf "\n# Message traffic by kind (all runs)\n";
+  List.iter
+    (fun (kind, n, bytes) -> Printf.printf "# %-20s %12d msgs %16d bytes\n%!" kind n bytes)
+    (Trace.kind_totals traffic);
+  Printf.printf "# Message traffic by DC link\n";
+  List.iter
+    (fun ((src, dst), n) -> Printf.printf "# dc%d -> dc%d %12d msgs\n%!" src dst n)
+    (Trace.link_counts traffic)
+
+(* Prefix every line of a rendered table with "# " so the CSV block stays
+   machine-readable. *)
+let print_commented text =
+  String.split_on_char '\n' text
+  |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line)
 
 let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo ~variance
     ~loss ~partitions ~clients_per_dc ~drain ~batching ~partial_abort ~histograms ~trace_file
-    ~metrics_file ~faults ~check =
+    ~metrics_file ~trace_summary ~faults ~check =
   let gen = (List.assoc workload workload_names) ~zipf in
   let topo = List.assoc topo topo_names in
   let net_config =
@@ -245,17 +243,24 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
         (if batching then Some Rpc.Batcher.default_config else None);
     }
   in
-  let violations = ref 0 in
-  (* Collected (system, seed, metered) triples when --metrics is on. The
-     instrumented runs replace the plain ones — their results are
-     byte-for-byte identical (pure observation), so the CSV is unchanged. *)
-  let metered = ref [] in
+  (* Open the output files before any simulation, so a bad path fails fast
+     instead of after the whole grid has run. *)
+  let open_output what file =
+    try (file, open_out file)
+    with Sys_error e ->
+      Printf.eprintf "natto_sim: cannot write %s file: %s\n%!" what e;
+      exit 1
+  in
+  let trace_out = Option.map (open_output "trace") trace_file in
+  let metrics_out = Option.map (open_output "metrics") metrics_file in
   Printf.printf
     "system,workload,rate_tps,zipf,p95_high_ms,ci,p95_low_ms,ci,goodput_high,goodput_low,failed,aborts\n%!";
-  (* Every (system, seed) pair is an independent simulation: farm the whole
-     grid out to the Domain pool, then walk it back in the sequential order
-     for merging and printing, so --jobs N output is byte-for-byte that of
-     --jobs 1. *)
+  (* Every (system, seed) pair is an independent simulation, run once with
+     every observer asked for (the first cell also carries the --trace sink):
+     farm the whole grid out to the Domain pool, then walk it back in the
+     sequential order for printing, so --jobs N output is byte-for-byte that
+     of --jobs 1. Observation never changes results, so the CSV is that of a
+     bare run. *)
   let cells =
     List.concat_map
       (fun name ->
@@ -263,50 +268,46 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
         List.map (fun seed -> (name, spec, seed)) seeds)
       systems
   in
-  let runs =
+  let outcomes =
     Harness.Pool.map_ordered_auto
-      (fun (_name, spec, seed) ->
-        match metrics_file with
-        | Some _ when not check ->
-            `Metered (Harness.Experiment.run_metrics ?faults setup spec ~gen ~seed)
-        | _ -> `Outcome (Harness.Experiment.run_outcome ?faults ~check setup spec ~gen ~seed))
-      cells
+      (fun (i, (_name, spec, seed)) ->
+        Harness.Experiment.run_outcome ?faults ~check ~metrics:(metrics_out <> None)
+          ~trace:(i = 0 && trace_out <> None) ~counters:trace_summary setup spec ~gen ~seed)
+      (List.mapi (fun i cell -> (i, cell)) cells)
   in
-  let by_cell = List.combine cells runs in
+  let by_system =
+    List.map
+      (fun name ->
+        ( name,
+          List.filter_map
+            (fun ((cell_name, _, _), o) -> if cell_name = name then Some o else None)
+            (List.combine cells outcomes) ))
+      systems
+  in
+  let violations = ref 0 in
   List.iter
-    (fun name ->
+    (fun (name, outs) ->
       let spec = List.assoc name system_names in
       let results =
-        List.filter_map
-          (fun ((cell_name, _, seed), run) ->
-            if cell_name <> name then None
-            else
-              Some
-                (match run with
-                | `Metered m ->
-                    metered := (name, seed, m) :: !metered;
-                    m.Harness.Experiment.m_result
-                | `Outcome o when not check -> Harness.Experiment.merge_outcome o
-                | `Outcome o ->
-                    Harness.Experiment.merge_counters o;
-                    let history, report =
-                      match o.Harness.Experiment.o_check with
-                      | Some hr -> hr
-                      | None -> assert false
-                    in
-                    if Check.Checker.ok report then
-                      Printf.printf "# check: %s seed %d ok (%d txns, %d edges)\n%!"
-                        (Harness.Experiment.spec_name spec)
-                        seed report.Check.Checker.checked_txns report.Check.Checker.edges
-                    else begin
-                      violations := !violations + List.length report.Check.Checker.violations;
-                      Printf.printf "# check: %s seed %d FAILED\n%s%!"
-                        (Harness.Experiment.spec_name spec)
-                        seed
-                        (Check.Checker.render history report)
-                    end;
-                    o.Harness.Experiment.o_result))
-          by_cell
+        List.map
+          (fun o ->
+            (match o.Harness.Experiment.o_check with
+            | None -> ()
+            | Some (history, report) ->
+                if Check.Checker.ok report then
+                  Printf.printf "# check: %s seed %d ok (%d txns, %d edges)\n%!"
+                    (Harness.Experiment.spec_name spec)
+                    o.Harness.Experiment.o_seed report.Check.Checker.checked_txns
+                    report.Check.Checker.edges
+                else begin
+                  violations := !violations + List.length report.Check.Checker.violations;
+                  Printf.printf "# check: %s seed %d FAILED\n%s%!"
+                    (Harness.Experiment.spec_name spec)
+                    o.Harness.Experiment.o_seed
+                    (Check.Checker.render history report)
+                end);
+            o.Harness.Experiment.o_result)
+          outs
       in
       let s = Harness.Experiment.summarize results in
       Printf.printf "%s,%s,%.0f,%.2f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%d,%d\n%!"
@@ -347,60 +348,61 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
           Printf.printf "# failover: %s commits_after_last_event=%d unfinished=%d\n%!"
             (Harness.Experiment.spec_name spec)
             commits_after s.Harness.Experiment.unfinished)
-    systems;
+    by_system;
   if histograms then begin
     Printf.printf "\nLatency distributions (committed transactions, both priorities):\n";
     List.iter
-      (fun name ->
-        let spec = List.assoc name system_names in
+      (fun (name, outs) ->
         let merged =
           List.fold_left
-            (fun acc seed ->
-              let r = Harness.Experiment.run ?faults setup spec ~gen ~seed in
-              let h =
-                Simstats.Histogram.of_array
-                  (Array.append r.Workload.Driver.high_latencies_ms
-                     r.Workload.Driver.low_latencies_ms)
-              in
-              Simstats.Histogram.merge acc h)
-            (Simstats.Histogram.create ()) seeds
+            (fun acc o ->
+              let r = o.Harness.Experiment.o_result in
+              Simstats.Histogram.merge acc
+                (Simstats.Histogram.of_array
+                   (Array.append r.Workload.Driver.high_latencies_ms
+                      r.Workload.Driver.low_latencies_ms)))
+            (Simstats.Histogram.create ()) outs
         in
-        Printf.printf "%-15s %s\n%!" (Harness.Experiment.spec_name spec)
+        Printf.printf "%-15s %s\n%!"
+          (Harness.Experiment.spec_name (List.assoc name system_names))
           (Simstats.Histogram.render merged))
-      systems
+      by_system
   end;
-  (match trace_file with
-  | None -> ()
-  | Some file ->
-      (* One extra fully-traced run (first system, first seed) whose Chrome
-         trace JSON goes to [file]. *)
-      let name = List.hd systems in
-      let spec = List.assoc name system_names in
-      let seed = List.hd seeds in
-      let t =
-        try Harness.Experiment.run_traced ?faults setup spec ~gen ~seed ~file
-        with Sys_error e ->
-          Printf.eprintf "natto_sim: cannot write trace file: %s\n%!" e;
-          exit 1
-      in
-      Printf.printf "\n# trace: %s (%s, seed %d) — load at chrome://tracing\n" file
-        (Harness.Experiment.spec_name spec)
+  (match (trace_out, outcomes) with
+  | Some (file, oc), first :: _ ->
+      (* The first cell (first system, first seed) ran with full tracing;
+         its Chrome trace JSON goes to [file]. *)
+      let trace = Option.get first.Harness.Experiment.o_trace in
+      let spec_name = Harness.Experiment.spec_name first.Harness.Experiment.o_spec in
+      let seed = first.Harness.Experiment.o_seed in
+      Trace.write_chrome_trace trace
+        ~extra:[ ("system", spec_name); ("seed", string_of_int seed) ]
+        oc;
+      close_out oc;
+      Printf.printf "\n# trace: %s (%s, seed %d) — load at chrome://tracing\n" file spec_name
         seed;
-      Printf.printf "# %d trace events; messages by kind:\n" (Trace.event_count t.Harness.Experiment.trace);
+      Printf.printf "# %d trace events; messages by kind:\n" (Trace.event_count trace);
       List.iter
         (fun (kind, n) -> Printf.printf "#   %-20s %10d\n" kind n)
-        (Trace.kind_counts t.Harness.Experiment.trace);
-      Printf.printf "#   %-20s %10d (network total: %d)\n%!" "sum"
-        (Trace.total_messages t.Harness.Experiment.trace)
-        t.Harness.Experiment.messages_sent);
-  (match metrics_file with
-  | None -> ()
-  | Some file ->
-      let metered = List.rev !metered in
-      (try write_metrics_json ~file metered
-       with Sys_error e ->
-         Printf.eprintf "natto_sim: cannot write metrics file: %s\n%!" e;
-         exit 1);
+        (Trace.kind_counts trace);
+      Printf.printf "#   %-20s %10d (network total: %d)\n%!" "sum" (Trace.total_messages trace)
+        first.Harness.Experiment.o_messages
+  | _ -> ());
+  (match metrics_out with
+  | Some (file, oc) ->
+      let metered =
+        List.concat_map
+          (fun (name, outs) ->
+            List.filter_map
+              (fun o ->
+                Option.map
+                  (fun m -> (name, o.Harness.Experiment.o_seed, m))
+                  o.Harness.Experiment.o_metrics)
+              outs)
+          by_system
+      in
+      write_metrics_json oc metered;
+      close_out oc;
       (* Attribution tables on stdout, '#'-prefixed so the CSV block above
          stays byte-for-byte that of a run without --metrics. *)
       List.iter
@@ -412,11 +414,8 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
               (attribution_classes m.Harness.Experiment.m_breakdowns)
           in
           let title = Printf.sprintf "%s, seed %d" sys_name seed in
-          String.split_on_char '\n' (Metrics.Attribution.render ~title rows)
-          |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line);
-          String.split_on_char '\n'
-            (Metrics.Blame.render ~title m.Harness.Experiment.m_blame)
-          |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line);
+          print_commented (Metrics.Attribution.render ~title rows);
+          print_commented (Metrics.Blame.render ~title m.Harness.Experiment.m_blame);
           let mismatch = max_sum_mismatch m.Harness.Experiment.m_breakdowns in
           if mismatch > 0 then
             Printf.printf "# WARNING: %s: segment sums deviate from end-to-end by up to %d us\n"
@@ -434,7 +433,16 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
         (Simcore.Sim_time.to_ms
            (match metered with
            | (_, _, m) :: _ -> Metrics.Registry.interval m.Harness.Experiment.m_registry
-           | [] -> 0)));
+           | [] -> 0))
+  | None -> ());
+  if trace_summary then begin
+    (* Message totals are a fold over the grid's per-run counters. *)
+    let traffic = Trace.create () in
+    List.iter
+      (fun o -> Option.iter (Trace.absorb ~into:traffic) o.Harness.Experiment.o_trace)
+      outcomes;
+    print_trace_totals traffic
+  end;
   !violations
 
 open Cmdliner
@@ -519,8 +527,8 @@ let histograms_arg =
 
 let trace_arg =
   let doc =
-    "Also run the first system/seed with full tracing and write Chrome trace-viewer JSON \
-     to $(docv) (open at chrome://tracing or ui.perfetto.dev)."
+    "Record the first system/seed's run with full tracing and write Chrome trace-viewer \
+     JSON to $(docv) (open at chrome://tracing or ui.perfetto.dev)."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
 
@@ -531,15 +539,14 @@ let metrics_arg =
      network, lock and Raft instruments, latency histograms, and a per-priority \
      attribution table whose segments sum exactly to each transaction's end-to-end \
      latency. Instrumentation is pure observation — the CSV on stdout is byte-for-byte \
-     that of a run without this flag. Incompatible with --check."
+     that of a run without this flag."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~doc ~docv:"FILE")
 
 let trace_summary_arg =
   let doc =
     "Count every message per kind and per DC link (counters-only tracing; results are \
-     unchanged) and print the totals after the runs. Replaces the deprecated \
-     NATTO_TRACE_SUMMARY=1 environment variable, which is still honoured."
+     unchanged) and print the totals after the runs."
   in
   Arg.(value & flag & info [ "trace-summary" ] ~doc)
 
@@ -578,22 +585,9 @@ let figure_arg =
   in
   Arg.(value & opt (some string) None & info [ "figure" ] ~doc)
 
-let print_trace_totals () =
-  Printf.printf "\n# Message traffic by kind (all runs)\n";
-  List.iter
-    (fun (kind, n, bytes) -> Printf.printf "# %-20s %12d msgs %16d bytes\n%!" kind n bytes)
-    (Harness.Experiment.trace_totals ());
-  Printf.printf "# Message traffic by DC link\n";
-  List.iter
-    (fun ((src, dst), n) -> Printf.printf "# dc%d -> dc%d %12d msgs\n%!" src dst n)
-    (Harness.Experiment.trace_link_totals ())
-
 let main systems workload rate zipf duration seeds high_fraction topo variance loss partitions
     clients_per_dc drain batching partial_abort histograms trace_file metrics_file trace_summary
     faults_spec jobs check figure =
-  (* NATTO_TRACE_SUMMARY=1 is the deprecated spelling of --trace-summary. *)
-  let trace_summary = trace_summary || Sys.getenv_opt "NATTO_TRACE_SUMMARY" <> None in
-  if trace_summary then Harness.Experiment.set_trace_counters true;
   match jobs with
   | Some n when n < 1 -> `Error (false, "--jobs must be >= 1")
   | _ when clients_per_dc < 1 -> `Error (false, "--clients-per-dc must be >= 1")
@@ -601,8 +595,9 @@ let main systems workload rate zipf duration seeds high_fraction topo variance l
   Harness.Pool.set_jobs jobs;
   match figure with
   | Some name ->
+      if trace_summary then Harness.Figures.count_messages ();
       if Harness.Figures.run_by_name name (Harness.Figures.scale_of_env ()) then begin
-        if trace_summary then print_trace_totals ();
+        Option.iter print_trace_totals (Harness.Figures.message_totals ());
         `Ok ()
       end
       else `Error (false, Printf.sprintf "unknown figure %S" name)
@@ -625,15 +620,13 @@ let main systems workload rate zipf duration seeds high_fraction topo variance l
                 `Error (false, Printf.sprintf "unknown workload %S" workload)
               else if not (List.mem_assoc topo topo_names) then
                 `Error (false, Printf.sprintf "unknown topology %S" topo)
-              else if metrics_file <> None && check then
-                `Error (false, "--metrics cannot be combined with --check")
               else begin
                 let violations =
                   run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction
                     ~topo ~variance ~loss ~partitions ~clients_per_dc ~drain ~batching
-                    ~partial_abort ~histograms ~trace_file ~metrics_file ~faults ~check
+                    ~partial_abort ~histograms ~trace_file ~metrics_file ~trace_summary ~faults
+                    ~check
                 in
-                if trace_summary then print_trace_totals ();
                 if violations = 0 then `Ok ()
                 else
                   `Error

@@ -73,19 +73,6 @@ dune exec bin/natto_sim.exe -- -s quecc,quecc-prio -d 8 --seeds 1 -r 50 -z 0.95 
   --faults 'crash-leader:0@2s,cut:0-1@3s,heal@5s,restart@6s' --check >/dev/null
 rm -f "$q_j1" "$q_j4"
 
-echo "== existing-family goldens gate =="
-# Introducing the QueCC family must not move a byte of any existing
-# family's output: the eleven pre-QueCC systems reproduce their golden
-# CSV exactly. '#'-prefixed lines are commentary (the uniform wasted
-# comment has grown columns since the golden was cut), so the compare is
-# over data rows.
-fam_out="${TMPDIR:-/tmp}/natto_ci_families.csv"
-dune exec bin/natto_sim.exe -- \
-  -s 2pl,2pl-p,2pl-pow,tapir,carousel-basic,carousel-fast,natto-ts,natto-lecsf,natto-pa,natto-cp,natto-recsf \
-  -d 4 --drain 10 --seeds 1,2 -r 80 -z 0.95 --jobs 8 >"$fam_out"
-grep -v '^#' "$fam_out" | cmp - test/golden/families_pr7.csv
-rm -f "$fam_out"
-
 echo "== metrics smoke + determinism gate =="
 # --metrics must (a) leave the CSV byte-for-byte identical to an
 # uninstrumented run ('#'-prefixed lines are commentary, not CSV), and
@@ -143,6 +130,17 @@ for r in d["runs"]:
 print("metrics JSON ok: %d runs, blame sums exact" % len(d["runs"]))
 EOF
 rm -f "$metrics_out" "$csv_off" "$csv_on"
+# Output files are opened before any simulation: a bad --metrics path must
+# exit 1 at once, before the CSV header or any row is printed.
+bad_out="${TMPDIR:-/tmp}/natto_ci_bad_path.out"
+status=0
+dune exec bin/natto_sim.exe -- -s 2pl -d 2 --seeds 1 -r 50 \
+  --metrics /nonexistent/x.json >"$bad_out" 2>/dev/null || status=$?
+if [ "$status" -ne 1 ] || [ -s "$bad_out" ]; then
+  echo "--metrics to an unwritable path: expected exit 1 and no output, got exit $status"
+  exit 1
+fi
+rm -f "$bad_out"
 
 echo "== blame-off golden gate =="
 # The blame plumbing (blocker capture in the lock tables, the Natto

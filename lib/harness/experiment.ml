@@ -78,81 +78,53 @@ let needs_raft = function Tapir -> false | _ -> true
 let deterministic = function Quecc _ -> true | _ -> false
 let needs_proxies = function Natto _ -> true | _ -> false
 
-let build_cluster ?trace ?metrics setup spec ~seed =
-  Txnkit.Cluster.build ~topo:setup.topo ~n_partitions:setup.n_partitions
-    ~clients_per_dc:setup.clients_per_dc ~net_config:setup.net_config
-    ~with_raft:(needs_raft spec) ~with_proxies:(needs_proxies spec)
-    ?batching:setup.batching ?trace ?metrics ~seed ()
-
-(* Process-wide message accounting, opted into by the bench harness
-   (NATTO_TRACE_SUMMARY=1). Counters mode only: constant memory per run and
-   no effect on event ordering, so figure results are unchanged.
-
-   [counters_on] is written once at startup (before any domain spawns) and
-   only read afterwards; the totals tables are only ever mutated on the
-   main domain, by [merge_outcome] — worker domains carry their counts in
-   the per-run [outcome] instead. *)
-let counters_on = ref false
-let set_trace_counters on = counters_on := on
-
-let totals : (string, int * int) Hashtbl.t = Hashtbl.create 32
-let link_totals : (int * int, int) Hashtbl.t = Hashtbl.create 64
-
-let reset_trace_totals () =
-  Hashtbl.reset totals;
-  Hashtbl.reset link_totals
-
-let accumulate trace =
-  let bytes = Trace.kind_bytes trace in
-  List.iter
-    (fun (kind, n) ->
-      let b = Option.value ~default:0 (List.assoc_opt kind bytes) in
-      let n0, b0 = Option.value ~default:(0, 0) (Hashtbl.find_opt totals kind) in
-      Hashtbl.replace totals kind (n0 + n, b0 + b))
-    (Trace.kind_counts trace);
-  List.iter
-    (fun (link, n) ->
-      Hashtbl.replace link_totals link
-        (n + Option.value ~default:0 (Hashtbl.find_opt link_totals link)))
-    (Trace.link_counts trace)
-
-let trace_totals () =
-  Hashtbl.fold (fun kind (n, b) acc -> (kind, n, b) :: acc) totals []
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare b a)
-
-let trace_link_totals () =
-  Hashtbl.fold (fun link n acc -> (link, n) :: acc) link_totals []
-  |> List.sort compare
+type metrics = {
+  m_registry : Metrics.Registry.t;
+  m_breakdowns : Metrics.Attribution.txn_breakdown list;
+  m_blame : Metrics.Blame.t;
+}
 
 type outcome = {
   o_spec : system_spec;
   o_seed : int;
   o_result : Workload.Driver.result;
   o_check : (Check.History.t * Check.Checker.report) option;
-  o_counters : Trace.t option;
   o_trace : Trace.t option;
+  o_metrics : metrics option;
+  o_messages : int;
   o_batch : Rpc.Batcher.stats option;
   o_events : int;  (* engine events processed; deterministic per (spec, seed) *)
 }
 
-(* The worker half of a run: everything here is per-run state (fresh
-   cluster, engine, RNG, recorder, counting trace), so this function is
-   safe to call from any domain, never prints, never raises on a checker
-   violation, and never touches the process-wide totals. The main domain
-   folds the returned observations in via [merge_outcome]. *)
-let run_outcome ?trace ?faults ?(check = false) setup spec ~gen ~seed =
-  let counting =
-    match trace with
-    | None when !counters_on ->
-        let t = Trace.create () in
-        Trace.enable ~events:false t;
-        Some t
-    | _ -> None
+(* Everything here is per-run state (fresh cluster, engine, RNG, recorder,
+   trace, registry), so this function is safe to call from any domain, never
+   prints and never raises on a checker violation. Every observer is pure
+   observation — no messages or RNG draws, and no events bar the registry's
+   per-window sampler — so the result is byte-for-byte that of a bare run. *)
+let run_outcome ?(check = false) ?faults ?trace:(trace_wanted = false) ?(metrics = false)
+    ?(counters = false) setup spec ~gen ~seed =
+  let sink =
+    if trace_wanted || metrics || counters then begin
+      let t = Trace.create () in
+      Trace.enable ~events:(trace_wanted || metrics) t;
+      Some t
+    end
+    else None
   in
-  let trace = match trace with Some _ -> trace | None -> counting in
-  let cluster = build_cluster ?trace setup spec ~seed in
-  (* Recording is pure observation (no events, messages or RNG draws), so a
-     checked run produces byte-for-byte the results of an unchecked one. *)
+  let registry =
+    if metrics then begin
+      let r = Metrics.Registry.create () in
+      Metrics.Registry.enable r;
+      Some r
+    end
+    else None
+  in
+  let cluster =
+    Txnkit.Cluster.build ~topo:setup.topo ~n_partitions:setup.n_partitions
+      ~clients_per_dc:setup.clients_per_dc ~net_config:setup.net_config
+      ~with_raft:(needs_raft spec) ~with_proxies:(needs_proxies spec)
+      ?batching:setup.batching ?trace:sink ?metrics:registry ~seed ()
+  in
   if check then Check.Recorder.enable cluster.Txnkit.Cluster.recorder;
   (* Installed before the driver starts so the first transaction already
      sees the failover machinery armed. *)
@@ -162,98 +134,51 @@ let run_outcome ?trace ?faults ?(check = false) setup spec ~gen ~seed =
   let checked =
     if check then begin
       let history = Check.Recorder.history cluster.Txnkit.Cluster.recorder in
-      let report =
-        Check.Checker.check ~conservation:gen.Workload.Gen.increment_rmw history
-      in
-      Some (history, report)
+      Some (history, Check.Checker.check ~conservation:gen.Workload.Gen.increment_rmw history)
     end
     else None
+  in
+  let metered, sink =
+    match (registry, sink) with
+    | Some registry, Some trace ->
+        let txns = Metrics.Registry.txn_records registry in
+        let breakdowns = Metrics.Attribution.analyze ~trace ~txns in
+        let blame = Metrics.Blame.analyze ~trace ~txns ~breakdowns () in
+        (* Outcomes are kept past the run, often in batches, so keep the
+           cluster and the trace events out of them: the sealed registry
+           drops the instruments that reach the cluster, and unless the
+           caller asked for the trace itself only its counters are kept. *)
+        Metrics.Registry.seal registry;
+        let kept =
+          if trace_wanted then trace
+          else begin
+            let counters = Trace.create () in
+            Trace.enable ~events:false counters;
+            Trace.absorb ~into:counters trace;
+            counters
+          end
+        in
+        (Some { m_registry = registry; m_breakdowns = breakdowns; m_blame = blame }, Some kept)
+    | _ -> (None, sink)
   in
   {
     o_spec = spec;
     o_seed = seed;
     o_result = result;
     o_check = checked;
-    o_counters = counting;
-    o_trace = trace;
+    o_trace = sink;
+    o_metrics = metered;
+    o_messages = Netsim.Network.messages_sent cluster.Txnkit.Cluster.net;
     o_batch = Option.map Rpc.Batcher.stats cluster.Txnkit.Cluster.batcher;
     o_events = Simcore.Engine.events_processed cluster.Txnkit.Cluster.engine;
   }
 
-let merge_counters o = match o.o_counters with Some t -> accumulate t | None -> ()
-
 let merge_outcome o =
-  merge_counters o;
   (match o.o_check with
   | Some (history, report) ->
       Check.Checker.assert_ok ?trace:o.o_trace ~label:(spec_name o.o_spec) history report
   | None -> ());
   o.o_result
-
-let run ?trace ?faults ?check setup spec ~gen ~seed =
-  merge_outcome (run_outcome ?trace ?faults ?check setup spec ~gen ~seed)
-
-let run_checked ?trace ?faults setup spec ~gen ~seed =
-  let o = run_outcome ?trace ?faults ~check:true setup spec ~gen ~seed in
-  merge_counters o;
-  match o.o_check with
-  | Some (history, report) -> (o.o_result, history, report)
-  | None -> assert false
-
-type traced = {
-  result : Workload.Driver.result;
-  messages_sent : int;
-  trace : Trace.t;
-}
-
-let run_traced ?faults setup spec ~gen ~seed ~file =
-  (* Open the output first so a bad path fails before the simulation runs,
-     not after. *)
-  let oc = open_out file in
-  let trace = Trace.create () in
-  Trace.enable trace;
-  let cluster = build_cluster ~trace setup spec ~seed in
-  (match faults with Some schedule -> Faults.install cluster schedule | None -> ());
-  let system = instantiate spec cluster in
-  let result =
-    Workload.Driver.run cluster system ~gen { setup.driver with Workload.Driver.seed }
-  in
-  Trace.write_chrome_trace trace
-    ~extra:[ ("system", spec_name spec); ("seed", string_of_int seed) ]
-    oc;
-  close_out oc;
-  {
-    result;
-    messages_sent = Netsim.Network.messages_sent cluster.Txnkit.Cluster.net;
-    trace;
-  }
-
-type metered = {
-  m_result : Workload.Driver.result;
-  m_registry : Metrics.Registry.t;
-  m_breakdowns : Metrics.Attribution.txn_breakdown list;
-  m_blame : Metrics.Blame.t;
-}
-
-let run_metrics ?faults ?interval setup spec ~gen ~seed =
-  (* Full-event trace + enabled registry. Both are pure observation — no
-     events, messages or RNG draws — so [m_result] is byte-for-byte the
-     result of an uninstrumented run; natto_sim's --metrics mode relies on
-     this to emit unchanged figure CSVs. *)
-  let trace = Trace.create () in
-  Trace.enable trace;
-  let registry = Metrics.Registry.create () in
-  Metrics.Registry.enable ?interval registry;
-  let cluster = build_cluster ~trace ~metrics:registry setup spec ~seed in
-  (match faults with Some schedule -> Faults.install cluster schedule | None -> ());
-  let system = instantiate spec cluster in
-  let result =
-    Workload.Driver.run cluster system ~gen { setup.driver with Workload.Driver.seed }
-  in
-  let txns = Metrics.Registry.txn_records registry in
-  let breakdowns = Metrics.Attribution.analyze ~trace ~txns in
-  let blame = Metrics.Blame.analyze ~trace ~txns ~breakdowns () in
-  { m_result = result; m_registry = registry; m_breakdowns = breakdowns; m_blame = blame }
 
 type summary = {
   p95_high_ms : float;
@@ -324,11 +249,3 @@ let summarize results =
     keys_validated = !keys_validated;
     commits = !commits;
   }
-
-let run_outcomes ?faults ?check ?(jobs = 1) setup spec ~gen ~seeds =
-  Pool.map_ordered ~jobs
-    (fun seed -> run_outcome ?faults ?check setup spec ~gen ~seed)
-    seeds
-
-let run_repeated ?faults ?check ?jobs setup spec ~gen ~seeds =
-  summarize (List.map merge_outcome (run_outcomes ?faults ?check ?jobs setup spec ~gen ~seeds))

@@ -42,102 +42,7 @@ type setup = {
 val default_setup : setup
 (** §5.1 defaults: azure5, 5 partitions, 2 clients per DC. *)
 
-type outcome = {
-  o_spec : system_spec;
-  o_seed : int;
-  o_result : Workload.Driver.result;
-  o_check : (Check.History.t * Check.Checker.report) option;
-      (** present iff the run was checked; not yet asserted *)
-  o_counters : Trace.t option;
-      (** counters-only trace to fold into the process-wide totals *)
-  o_trace : Trace.t option;  (** whatever trace sink the run used *)
-  o_batch : Rpc.Batcher.stats option;
-      (** batcher occupancy/flush statistics, present iff the setup batched *)
-  o_events : int;
-      (** engine events processed over the run; deterministic per
-          (spec, seed), so it doubles as a cheap determinism lock *)
-}
-(** Everything one run observed, as a value. [run_outcome] is the
-    domain-safe worker half of {!run}: it builds per-run state only, never
-    prints, never raises on a checker violation, and never touches the
-    process-wide totals, so the {!Pool} can execute it on any domain.
-    {!merge_outcome} is the main-domain half: it folds the counters into
-    the process totals and raises {!Check.Checker.Violation} if the run's
-    check failed. Merging outcomes in input order is what keeps parallel
-    harness output byte-for-byte identical to a sequential run. *)
-
-val run_outcome :
-  ?trace:Trace.t ->
-  ?faults:Faults.schedule ->
-  ?check:bool ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seed:int ->
-  outcome
-
-val merge_outcome : outcome -> Workload.Driver.result
-(** Fold [o_counters] into the aggregate totals, assert the check report
-    (if any), return the run's result. Main domain only. *)
-
-val merge_counters : outcome -> unit
-(** The counters half of {!merge_outcome} alone, for callers that want the
-    check report un-asserted (the check figure, the CLI's [--check]). *)
-
-val run :
-  ?trace:Trace.t ->
-  ?faults:Faults.schedule ->
-  ?check:bool ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seed:int ->
-  Workload.Driver.result
-(** One run: fresh cluster, one system, one workload pass. [trace] is
-    installed at cluster construction (see {!Txnkit.Cluster.build});
-    [faults] is installed before the driver starts (see {!Faults.install}).
-    Without [faults], results are byte-for-byte those of the pre-fault
-    harness.
-
-    [check] (default [false]) records the run's transaction history and
-    verifies strict serializability (plus increment conservation for
-    {!Workload.Gen.increment_rmw} workloads) after the drain, raising
-    {!Check.Checker.Violation} with a rendered counterexample on failure.
-    Recording observes — it adds no events, messages or randomness — so a
-    checked run's [result] is byte-for-byte that of an unchecked one. *)
-
-val run_checked :
-  ?trace:Trace.t ->
-  ?faults:Faults.schedule ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seed:int ->
-  Workload.Driver.result * Check.History.t * Check.Checker.report
-(** Like [run ~check:true] but returns the history and the checker report
-    instead of raising, for callers that want to render or count violations
-    themselves (the CLI's [--check]). *)
-
-type traced = {
-  result : Workload.Driver.result;
-  messages_sent : int;  (** [Netsim.Network.messages_sent] for the run *)
-  trace : Trace.t;
-}
-
-val run_traced :
-  ?faults:Faults.schedule ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seed:int ->
-  file:string ->
-  traced
-(** Like {!run} with a full-recording trace sink, writing Chrome
-    trace-viewer JSON to [file] (load it at chrome://tracing or
-    ui.perfetto.dev). *)
-
-type metered = {
-  m_result : Workload.Driver.result;
+type metrics = {
   m_registry : Metrics.Registry.t;  (** sampled windows, histograms, counters *)
   m_breakdowns : Metrics.Attribution.txn_breakdown list;
       (** one per committed transaction; segments sum exactly to each
@@ -147,35 +52,65 @@ type metered = {
           inversion matrix, hot keys, top blockers, tail exemplars *)
 }
 
-val run_metrics :
+type outcome = {
+  o_spec : system_spec;
+  o_seed : int;
+  o_result : Workload.Driver.result;
+  o_check : (Check.History.t * Check.Checker.report) option;
+      (** present iff the run was checked; not yet asserted *)
+  o_trace : Trace.t option;
+      (** the run's trace sink: full-event with [~trace], counters-only with
+          [~metrics] or [~counters] alone, absent otherwise *)
+  o_metrics : metrics option;  (** present iff the run was metered *)
+  o_messages : int;  (** [Netsim.Network.messages_sent] for the run *)
+  o_batch : Rpc.Batcher.stats option;
+      (** batcher occupancy/flush statistics, present iff the setup batched *)
+  o_events : int;
+      (** engine events processed over the run; deterministic per
+          (spec, seed), so it doubles as a cheap determinism lock *)
+}
+(** Everything one run observed, as a value. *)
+
+val run_outcome :
+  ?check:bool ->
   ?faults:Faults.schedule ->
-  ?interval:Simcore.Sim_time.t ->
+  ?trace:bool ->
+  ?metrics:bool ->
+  ?counters:bool ->
   setup ->
   system_spec ->
   gen:Workload.Gen.t ->
   seed:int ->
-  metered
-(** Like {!run} with a full trace sink and an enabled metrics registry
-    ([interval] is the sampling window, default 100 ms), computing the
-    per-transaction latency attribution after the drain. Instrumentation is
-    pure observation, so [m_result] is byte-for-byte that of {!run}. *)
+  outcome
+(** One run: fresh cluster, one system, one workload pass. The optional
+    arguments choose what is observed; each is pure observation, so
+    [o_result] is byte-for-byte that of a bare run whatever is on.
 
-(** {2 Aggregate message accounting}
+    - [faults] is installed before the driver starts (see {!Faults.install}).
+    - [check] (default [false]) records the transaction history and verifies
+      strict serializability (plus increment conservation for
+      {!Workload.Gen.increment_rmw} workloads) after the drain, into
+      [o_check]. A violation is reported, not raised: see {!merge_outcome}.
+    - [trace] (default [false]) records every message and transaction span
+      into [o_trace], for {!Trace.write_chrome_trace}.
+    - [metrics] (default [false]) adds an enabled registry (100 ms windows)
+      and a full trace, and analyses the per-transaction latency attribution
+      and blame after the drain, into [o_metrics]. Without [trace] only the
+      trace's counters are kept in [o_trace]. The registry's sampler adds
+      one engine event per window to [o_events].
+    - [counters] (default [false]) counts messages per kind and per DC link
+      in a counters-only [o_trace] (constant memory) when no full trace is
+      on; totals over many runs are a fold of {!Trace.absorb}.
 
-    When enabled (the bench harness sets this from NATTO_TRACE_SUMMARY=1),
-    every {!run} counts its messages per kind and per DC link into
-    process-wide totals. Counters mode only — constant memory, and results
-    are byte-for-byte those of an untraced run. *)
+    The function builds per-run state only, never prints and never raises
+    on a checker violation, so the {!Pool} can run it on any domain. *)
 
-val set_trace_counters : bool -> unit
-
-val trace_totals : unit -> (string * int * int) list
-(** (kind, messages, wire bytes), most messages first. *)
-
-val trace_link_totals : unit -> ((int * int) * int) list
-(** ((src DC, dst DC), messages), sorted by link. *)
-
-val reset_trace_totals : unit -> unit
+val merge_outcome : outcome -> Workload.Driver.result
+(** Assert the check report, if any — raising {!Check.Checker.Violation}
+    with a rendered counterexample on failure — and return the run's
+    result. Merging outcomes in input order on the main domain is what
+    keeps parallel harness output byte-for-byte identical to a sequential
+    run. *)
 
 type summary = {
   p95_high_ms : float;
@@ -201,30 +136,3 @@ val summarize : Workload.Driver.result list -> summary
 (** Aggregate per-seed results: percentile statistics are averaged across
     repetitions with 95% confidence intervals (§5.1's error bars); counts
     are summed. *)
-
-val run_outcomes :
-  ?faults:Faults.schedule ->
-  ?check:bool ->
-  ?jobs:int ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seeds:int list ->
-  outcome list
-(** One {!run_outcome} per seed, farmed out over [jobs] domains (default
-    [1]) via {!Pool.map_ordered}; outcomes come back in seed order and are
-    not yet merged. *)
-
-val run_repeated :
-  ?faults:Faults.schedule ->
-  ?check:bool ->
-  ?jobs:int ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seeds:int list ->
-  summary
-(** [summarize] over one {!run} per seed. With [jobs > 1] the seeds run in
-    parallel ({!run_outcomes}); outcomes are merged in seed order on the
-    calling domain, so the summary — and any process-wide accounting — is
-    identical to the sequential run's. *)

@@ -53,6 +53,43 @@ let collect ~figure ~x_label ~x ~system fields =
     { pt_figure = figure; pt_x_label = x_label; pt_x = x; pt_system = system; pt_fields = fields }
     :: !points
 
+(* Message totals over every figure run, kept beside the points when asked
+   for ([--trace-summary]). Set once from the main domain before any run, and
+   only read by the workers, which count into their own per-run sinks. *)
+let traffic : Trace.t option ref = ref None
+
+let count_messages () =
+  let t = Trace.create () in
+  Trace.enable ~events:false t;
+  traffic := Some t
+
+let message_totals () = !traffic
+
+let run ?check ?faults ?metrics setup spec ~gen ~seed =
+  Experiment.run_outcome ?check ?faults ?metrics ~counters:(!traffic <> None) setup spec ~gen
+    ~seed
+
+(* One checked run per seed: the latency figures all run under the
+   checker, and merging raises on a violation. *)
+let checked_runs ?faults setup spec ~gen ~seeds =
+  List.map (fun seed -> run ~check:true ?faults setup spec ~gen ~seed) seeds
+
+(* The main-domain half of every figure run: fold its message counts into
+   the totals; [merge] then asserts its check report and returns its
+   result. *)
+let tally o =
+  match (!traffic, o.Experiment.o_trace) with
+  | Some into, Some t -> Trace.absorb ~into t
+  | _ -> ()
+
+let merge o =
+  tally o;
+  Experiment.merge_outcome o
+
+let metered o =
+  tally o;
+  Option.get o.Experiment.o_metrics
+
 let header figure caption =
   Printf.printf "\n# %s — %s\n" figure caption;
   Printf.printf
@@ -80,22 +117,20 @@ let row figure x_label x system (s : Experiment.summary) =
    independent batch of simulations, so cells are farmed out to the
    Domain pool, each worker returning its runs' observations as values
    ([Experiment.outcome]). The main domain then walks the cells in the
-   exact sequential order, merging outcomes (process-wide counters,
-   checker assertions) and printing rows — which is what keeps the CSV
-   stream and the collected points byte-for-byte identical to a
-   [--jobs 1] run. *)
+   exact sequential order, merging outcomes (message totals, checker
+   assertions) and printing rows — which is what keeps the CSV stream and
+   the collected points byte-for-byte identical to a [--jobs 1] run. *)
 let map_cells cells f = Pool.map_ordered_auto f cells
 
 let sweep ~figure ~x_label ~setup_of ~gen_of ~xs ~systems ~scale ~show =
   let cells = List.concat_map (fun x -> List.map (fun spec -> (x, spec)) systems) xs in
   let outcomes =
     map_cells cells (fun (x, spec) ->
-        Experiment.run_outcomes ~check:true (setup_of x) spec ~gen:(gen_of x)
-          ~seeds:(seeds scale))
+        checked_runs (setup_of x) spec ~gen:(gen_of x) ~seeds:(seeds scale))
   in
   List.iter2
     (fun (x, spec) outs ->
-      let summary = Experiment.summarize (List.map Experiment.merge_outcome outs) in
+      let summary = Experiment.summarize (List.map merge outs) in
       row figure x_label (show x) (Experiment.spec_name spec) summary)
     cells outcomes
 
@@ -208,7 +243,7 @@ let fig10 scale =
         let setup =
           { Experiment.default_setup with Experiment.driver = driver_config scale ~rate }
         in
-        Experiment.run_outcomes ~check:true setup spec ~gen ~seeds:(seeds scale))
+        checked_runs setup spec ~gen ~seeds:(seeds scale))
   in
   (* The 100 txn/s baseline each ratio is computed against is the first
      rate of the system's cells, so emission walks rates in order. *)
@@ -216,7 +251,7 @@ let fig10 scale =
   List.iter2
     (fun (spec, rate) outs ->
       if rate = List.hd rates then baseline := nan;
-      let summary = Experiment.summarize (List.map Experiment.merge_outcome outs) in
+      let summary = Experiment.summarize (List.map merge outs) in
       if Float.is_nan !baseline then baseline := summary.Experiment.p95_high_ms;
       let increase_pct =
         100. *. (summary.Experiment.p95_high_ms -. !baseline) /. !baseline
@@ -346,7 +381,7 @@ let fig14 scale =
                 Experiment.driver;
               }
             in
-            Experiment.run_outcome ~check:true setup spec ~gen ~seed:1)
+            run ~check:true setup spec ~gen ~seed:1)
           rates)
   in
   List.iter2
@@ -354,7 +389,7 @@ let fig14 scale =
       let best =
         List.fold_left
           (fun best o ->
-            let r = Experiment.merge_outcome o in
+            let r = merge o in
             let goodput =
               r.Workload.Driver.goodput_high_tps +. r.Workload.Driver.goodput_low_tps
             in
@@ -393,12 +428,11 @@ let ablation scale =
         let setup =
           { Experiment.default_setup with Experiment.driver = driver_config scale ~rate:350. }
         in
-        Experiment.run_outcomes ~check:true setup (Experiment.Natto features) ~gen
-          ~seeds:(seeds scale))
+        checked_runs setup (Experiment.Natto features) ~gen ~seeds:(seeds scale))
   in
   List.iter2
     (fun (label, _features) outs ->
-      let summary = Experiment.summarize (List.map Experiment.merge_outcome outs) in
+      let summary = Experiment.summarize (List.map merge outs) in
       row "ablation" "variant" label label summary)
     variants outcomes
 
@@ -452,12 +486,11 @@ let failover scale =
   in
   let outcomes =
     map_cells systems (fun spec ->
-        Experiment.run_outcomes ~faults:schedule ~check:true setup spec ~gen
-          ~seeds:(seeds scale))
+        checked_runs ~faults:schedule setup spec ~gen ~seeds:(seeds scale))
   in
   List.iter2
     (fun spec outs ->
-      let results = List.map Experiment.merge_outcome outs in
+      let results = List.map merge outs in
       (* Phases are bucketed by submission time, pooled across seeds. *)
       let entries =
         List.concat_map (fun r -> Array.to_list r.Workload.Driver.commit_log) results
@@ -548,15 +581,12 @@ let check_figure scale =
   in
   let outcomes =
     map_cells cells (fun ((_label, faults), spec) ->
-        Experiment.run_outcome ?faults ~check:true setup spec ~gen
-          ~seed:(List.hd (seeds scale)))
+        run ?faults ~check:true setup spec ~gen ~seed:(List.hd (seeds scale)))
   in
   List.iter2
     (fun ((label, _faults), spec) o ->
-      Experiment.merge_counters o;
-      let history, report =
-        match o.Experiment.o_check with Some hr -> hr | None -> assert false
-      in
+      tally o;
+      let history, report = Option.get o.Experiment.o_check in
       let n_violations = List.length report.Check.Checker.violations in
           Printf.printf "check,%s,%s,%d,%d,%d\n%!" label (Experiment.spec_name spec)
             report.Check.Checker.checked_txns report.Check.Checker.edges n_violations;
@@ -603,12 +633,13 @@ let attribution scale =
       Experiment.Quecc Quecc.Prio;
     ]
   in
-  let metered =
+  let outcomes =
     map_cells systems (fun spec ->
-        Experiment.run_metrics setup spec ~gen ~seed:(List.hd (seeds scale)))
+        run ~metrics:true setup spec ~gen ~seed:(List.hd (seeds scale)))
   in
   List.iter2
-    (fun spec m ->
+    (fun spec o ->
+      let m = metered o in
       let system = Experiment.spec_name spec in
       let classes =
         [
@@ -654,7 +685,7 @@ let attribution scale =
       String.split_on_char '\n' (Metrics.Attribution.render ~title:system aggs)
       |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line);
       flush stdout)
-    systems metered
+    systems outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Batch sweep: the group-commit batching layer's throughput story.
@@ -666,9 +697,9 @@ let attribution scale =
    goodput among rates whose overall p95 stays within 2x that mode's
    idle-load p95. Envelope occupancy and flush-reason counts show where
    the amortization comes from (idle flushes at light load, timer/size
-   flushes under pressure), and a metered pair of runs shows the batching
-   segment appearing in the latency attribution while cpu_queue
-   shrinks. *)
+   flushes under pressure), and the metered mid-ladder rung of each mode
+   shows the batching segment appearing in the latency attribution while
+   cpu_queue shrinks. *)
 
 let batchsweep scale =
   Printf.printf
@@ -728,20 +759,22 @@ let batchsweep scale =
   let cells =
     List.concat_map (fun ((name, _) as mode) -> List.map (fun r -> (mode, r)) (rates_of name)) modes
   in
+  (* The mid-ladder rung both modes share carries the attribution evidence. *)
+  let attr_rate = 400. *. float_of_int n_partitions in
   let outcomes =
     map_cells cells (fun ((_mode, batching), rate) ->
         (* The history checker is O(committed txns); running it on the
            low-rate rungs proves batched histories stay serializable
            without dominating the sweep's cost (ci.sh gates the rest). *)
-        Experiment.run_outcome ~check:(rate <= 1000.) (setup_of ~batching ~rate) spec ~gen
-          ~seed:1)
+        run ~check:(rate <= 1000.) ~metrics:(rate = attr_rate) (setup_of ~batching ~rate) spec
+          ~gen ~seed:1)
   in
   let p95 a = if Array.length a = 0 then nan else Simstats.Percentile.p95 a in
   let curves = ref [] in
   (* mode -> (rate, goodput, p95) in ladder order *)
   List.iter2
     (fun ((mode, _batching), rate) o ->
-      let r = Experiment.merge_outcome o in
+      let r = merge o in
       let goodput = r.Workload.Driver.goodput_high_tps +. r.Workload.Driver.goodput_low_tps in
       let p95_all =
         p95 (Array.append r.Workload.Driver.high_latencies_ms r.Workload.Driver.low_latencies_ms)
@@ -821,17 +854,15 @@ let batchsweep scale =
       collect ~figure:"batchsweep" ~x_label:"knee" ~x:mode ~system:mode
         [ ("knee_goodput_tps", k); ("idle_p95_ms", idle); ("knee_ratio", ratio) ])
     [ ("unbatched", k_un, idle_un); ("batched", k_b, idle_b) ];
-  (* Attribution evidence at a mid-ladder rate: the batched run's critical
+  (* Attribution evidence at the mid-ladder rate: the batched run's critical
      path gains a batching segment (time held in envelopes) while the
      cpu_queue share shrinks — the amortization made visible per txn. *)
-  let attr_rate = 400. *. float_of_int n_partitions in
-  let metered =
-    map_cells modes (fun (_mode, batching) ->
-        Experiment.run_metrics (setup_of ~batching ~rate:attr_rate) spec ~gen ~seed:1)
-  in
   List.iter2
-    (fun (mode, _) m ->
-      match Metrics.Attribution.aggregate m.Experiment.m_breakdowns with
+    (fun ((mode, _), _rate) o ->
+      match
+        Option.bind o.Experiment.o_metrics (fun m ->
+            Metrics.Attribution.aggregate m.Experiment.m_breakdowns)
+      with
       | None -> ()
       | Some a ->
           let tot =
@@ -851,7 +882,7 @@ let batchsweep scale =
             @ List.map
                 (fun name -> (name ^ "_pct", pct name))
                 Metrics.Attribution.segment_names))
-    modes metered
+    cells outcomes
 
 (* ------------------------------------------------------------------ *)
 (* simthroughput: raw simulator throughput (engine events per wall
@@ -871,8 +902,9 @@ let simthroughput scale =
   let gen = Workload.Ycsbt.gen () in
   let cell ~x_label ~x ~jobs ~seeds setup =
     let t0 = Unix.gettimeofday () in
-    let outs = Experiment.run_outcomes ~jobs setup spec ~gen ~seeds in
+    let outs = Pool.map_ordered ~jobs (fun seed -> run setup spec ~gen ~seed) seeds in
     let wall = Unix.gettimeofday () -. t0 in
+    List.iter tally outs;
     let events = List.fold_left (fun acc o -> acc + o.Experiment.o_events) 0 outs in
     let eps = if wall > 0. then float_of_int events /. wall else 0. in
     Printf.printf "simthroughput,%s,%s,%s,%d,%.3f,%.0f\n%!" x_label x name events wall eps;
@@ -975,15 +1007,16 @@ let tailblame scale =
   in
   let thetas = [ 0.8; 0.99; 1.2 ] in
   let cells = List.concat_map (fun th -> List.map (fun s -> (th, s)) systems) thetas in
-  let metered =
+  let outcomes =
     map_cells cells (fun (theta, spec) ->
-        Experiment.run_metrics setup spec
+        run ~metrics:true setup spec
           ~gen:(Workload.Ycsbt.gen ~theta ())
           ~seed:(List.hd (seeds scale)))
   in
   let rows =
     List.map2
-      (fun (theta, spec) m ->
+      (fun (theta, spec) o ->
+        let m = metered o in
         let b = m.Experiment.m_blame in
         let system = Experiment.spec_name spec in
         let cell i j = b.Metrics.Blame.b_matrix.(i).(j) in
@@ -1013,7 +1046,7 @@ let tailblame scale =
             ("hot8_share", hot8);
           ];
         (theta, system, inv, inv_per_high, hot1, m))
-      cells metered
+      cells outcomes
   in
   (* Per-theta ranking, "#"-prefixed so CSV consumers skip it. The
      no-priority 2PL baseline anchors the inversion ratios. *)
@@ -1061,10 +1094,11 @@ let tailblame scale =
    so the pa column isolates the mechanism: claimed reads shrink retry
    payloads (read_reply bytes scale with values actually shipped),
    which shortens aborted attempts and frees link occupancy at the hot
-   partitions. A metered pass at the most contended point then splits
-   each aborted attempt's span into reused vs discarded µs
-   (Attribution.wasted_work) and prints the discarded-µs reduction the
-   claims bought, "#"-prefixed so the CSV block stays machine-readable. *)
+   partitions. The first seed of every cell at the most contended point
+   is also metered, splitting each aborted attempt's span into reused vs
+   discarded µs (Attribution.wasted_work); the discarded-µs reduction the
+   claims bought is printed "#"-prefixed so the CSV block stays
+   machine-readable. *)
 
 let retrysweep scale =
   Printf.printf
@@ -1106,6 +1140,7 @@ let retrysweep scale =
     match scale with Quick -> [ 0.8; 0.99; 1.2 ] | Full -> [ 0.8; 0.9; 0.99; 1.1; 1.2 ]
   in
   let modes = [ false; true ] in
+  let wasted_theta = 0.99 in
   let cells =
     List.concat_map
       (fun theta ->
@@ -1114,13 +1149,18 @@ let retrysweep scale =
   in
   let outcomes =
     map_cells cells (fun (theta, pa, spec) ->
-        Experiment.run_outcomes ~check:true (setup_of ~pa) spec
-          ~gen:(Workload.Ycsbt.gen ~theta ())
-          ~seeds:(seeds scale))
+        List.mapi
+          (fun i seed ->
+            run ~check:true
+              ~metrics:(theta = wasted_theta && i = 0)
+              (setup_of ~pa) spec
+              ~gen:(Workload.Ycsbt.gen ~theta ())
+              ~seed)
+          (seeds scale))
   in
   List.iter2
     (fun (theta, pa, spec) outs ->
-      let s = Experiment.summarize (List.map Experiment.merge_outcome outs) in
+      let s = Experiment.summarize (List.map merge outs) in
       let system = Experiment.spec_name spec in
       Printf.printf "retrysweep,%.2f,%s,%s,%.1f,%.1f,%.1f,%.1f,%d,%d,%d,%d\n%!" theta
         (if pa then "on" else "off")
@@ -1141,24 +1181,22 @@ let retrysweep scale =
           ("keys_validated", float_of_int s.Experiment.keys_validated);
         ])
     cells outcomes;
-  (* Wasted-work evidence at the most contended paper point: meter each
-     family off and on at Zipf 0.99 and report how much aborted-attempt
-     time the validated prefix reclaimed. *)
-  let theta = 0.99 in
-  let mcells = List.concat_map (fun spec -> List.map (fun pa -> (spec, pa)) modes) systems in
-  let metered =
-    map_cells mcells (fun (spec, pa) ->
-        Experiment.run_metrics (setup_of ~pa) spec
-          ~gen:(Workload.Ycsbt.gen ~theta ())
-          ~seed:(List.hd (seeds scale)))
-  in
-  let wasted = List.map2 (fun (spec, pa) m ->
-      (spec, pa, Metrics.Attribution.wasted_work m.Experiment.m_breakdowns)) mcells metered
+  (* Wasted-work evidence at the most contended paper point: how much
+     aborted-attempt time the validated prefix reclaimed, off vs on. *)
+  let wasted =
+    List.combine cells outcomes
+    |> List.concat_map (fun ((_theta, pa, spec), outs) ->
+           List.filter_map
+             (fun o ->
+               Option.map
+                 (fun m -> (spec, pa, Metrics.Attribution.wasted_work m.Experiment.m_breakdowns))
+                 o.Experiment.o_metrics)
+             outs)
   in
   Printf.printf
     "# retrysweep wasted @ zipf %.2f: aborted-attempt us split (exec unchanged; \
      reused + discarded = backoff)\n"
-    theta;
+    wasted_theta;
   List.iter
     (fun spec ->
       let find pa =
@@ -1186,7 +1224,7 @@ let retrysweep scale =
             on.Metrics.Attribution.wk_exec_us on.Metrics.Attribution.wk_reused_us
             on.Metrics.Attribution.wk_discarded_us reduction;
           collect ~figure:"retrysweep" ~x_label:"wasted"
-            ~x:(Printf.sprintf "%.2f" theta)
+            ~x:(Printf.sprintf "%.2f" wasted_theta)
             ~system
             [
               ("off_exec_us", float_of_int off.Metrics.Attribution.wk_exec_us);

@@ -130,10 +130,11 @@ val retrysweep : scale -> unit
 (** Partial-abort sweep (ISSUE 10): one system per optimistic family —
     plus 2PL and the Natto TS/RECSF pair — at YCSB+T Zipf 0.8 → 1.2, each
     cell run checked with resume-from-prefix off and on (the [pa] CSV
-    column). A metered pass at Zipf 0.99 splits every aborted attempt's
-    span into reused vs discarded µs ({!Metrics.Attribution.wasted_work})
-    and prints each family's discarded-µs reduction as a [#] comment.
-    Deterministic at any job count. *)
+    column). The first seed of every Zipf-0.99 cell is also metered,
+    splitting every aborted attempt's span into reused vs discarded µs
+    ({!Metrics.Attribution.wasted_work}); each family's discarded-µs
+    reduction is printed as a [#] comment. Deterministic at any job
+    count. *)
 
 val all : scale -> unit
 val run_by_name : string -> scale -> bool
@@ -158,3 +159,14 @@ val collected_points : unit -> point list
 (** Points in emission order. *)
 
 val reset_points : unit -> unit
+
+(** {2 Message totals} *)
+
+val count_messages : unit -> unit
+(** Count the messages of every later figure run per kind and per DC link
+    (counters-only tracing, so figure numbers are unchanged). Call from the
+    main domain before any figure runs. *)
+
+val message_totals : unit -> Trace.t option
+(** The counters sink every figure run since {!count_messages} was folded
+    into with {!Trace.absorb}; [None] if counting is off. *)

@@ -23,11 +23,10 @@ let jobs_for ~cells =
   max 1 (min requested (max 1 cells))
 
 (* Cumulative wall time spent inside job functions, across every
-   [map_ordered] call since the last reset. busy / wall is the achieved
+   [map_ordered] call in the process. busy / wall is the achieved
    speedup the bench harness records. *)
 let busy_us = Atomic.make 0
 
-let reset_stats () = Atomic.set busy_us 0
 let busy_seconds () = float_of_int (Atomic.get busy_us) /. 1e6
 
 (* Nested map_ordered calls (a figure cell whose job runs its seeds through

@@ -135,5 +135,9 @@ let reset t ~now =
     t.instruments;
   List.iter (fun (_, h) -> h.h <- Simstats.Histogram.create ()) t.hists
 
+let seal t =
+  t.on <- false;
+  t.instruments <- []
+
 let note_txn t rec_ = t.txns <- rec_ :: t.txns
 let txn_records t = List.rev t.txns

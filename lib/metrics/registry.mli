@@ -94,6 +94,12 @@ val reset : t -> now:Simcore.Sim_time.t -> unit
     and re-baseline every cumulative/counter and the window clock at [now].
     Registered instruments and handles stay valid. *)
 
+val seal : t -> unit
+(** End observation: stop sampling and drop every instrument — gauge and
+    cumulative closures hold on to what they observe, typically a whole
+    cluster — keeping the windows, histograms and transaction records. For
+    registries kept past their run. *)
+
 (** {2 Transaction lineage — feeds [Metrics.Attribution]}
 
     The workload driver retries an aborted transaction under a fresh

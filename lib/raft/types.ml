@@ -35,15 +35,3 @@ let message_bytes = function
   | Append_entries { entries; _ } ->
       List.fold_left (fun acc e -> acc + e.size + 24) 48 entries
   | Append_reply _ -> 40
-
-let pp_message fmt = function
-  | Request_vote { term; candidate; _ } ->
-      Format.fprintf fmt "RequestVote(term=%d, cand=%d)" term candidate
-  | Vote { term; from; granted } ->
-      Format.fprintf fmt "Vote(term=%d, from=%d, granted=%b)" term from granted
-  | Append_entries { term; leader; prev_index; entries; leader_commit; _ } ->
-      Format.fprintf fmt "AppendEntries(term=%d, leader=%d, prev=%d, n=%d, commit=%d)" term
-        leader prev_index (List.length entries) leader_commit
-  | Append_reply { term; from; success; match_index; _ } ->
-      Format.fprintf fmt "AppendReply(term=%d, from=%d, ok=%b, match=%d)" term from success
-        match_index

@@ -47,9 +47,6 @@ type t = {
   link_counts : (int * int, int ref) Hashtbl.t;
   mutable events : event list;  (** reversed; reversed back on output *)
   mutable n_events : int;
-  mutable stream : out_channel option;
-      (** streaming mode: full-mode events are written here at push time
-          instead of being buffered *)
   mutable txn_index : (int, span list ref) Hashtbl.t option;
       (** lazily built on the first {!txn_events} lookup: per-txn spans,
           most-recent-first (same convention as [events]); maintained
@@ -64,12 +61,10 @@ let create () =
     link_counts = Hashtbl.create 64;
     events = [];
     n_events = 0;
-    stream = None;
     txn_index = None;
   }
 
 let enable ?(events = true) t = t.mode <- (if events then Full else Counters)
-let disable t = t.mode <- Off
 let enabled t = t.mode <> Off
 let recording t = t.mode = Full
 
@@ -88,8 +83,6 @@ let bump tbl key n =
    timestamps are simulated microseconds. *)
 
 let json_escape s =
-  (* Kind and span names are controlled identifiers, but escape anyway so a
-     future caller cannot produce invalid JSON. *)
   let buf = Buffer.create (String.length s) in
   String.iter
     (fun c ->
@@ -101,6 +94,13 @@ let json_escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
+
+(* Integral values (event and byte counts) are written exactly; anything
+   else keeps six significant digits. JSON has no NaN or infinity. *)
+let json_float f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.6g" f
 
 let write_msg_event oc first (m : msg_handle) =
   if not !first then output_string oc ",\n";
@@ -155,22 +155,6 @@ let write_event oc first = function
   | Span s -> write_span_event oc first s
   | Fault f -> write_fault_event oc first f
 
-(* Streaming prologue: the trace-events array opens immediately and every
-   pushed event is rendered straight to the channel, so a long full-mode run
-   stays at constant memory. [otherData] (whose counters only settle at the
-   end of the run) moves to the epilogue written by [write_chrome_trace]. *)
-let stream_to t oc =
-  t.stream <- Some oc;
-  output_string oc "{\"displayTimeUnit\":\"ms\",\n\"traceEvents\":[\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"network\"}},\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"transactions\"}},\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"faults\"}}"
-
-let streaming t = t.stream <> None
-
 let index_span idx (s : span) =
   match Hashtbl.find_opt idx s.s_txn with
   | Some r -> r := s :: !r
@@ -178,13 +162,8 @@ let index_span idx (s : span) =
 
 let push t ev =
   t.n_events <- t.n_events + 1;
-  match t.stream with
-  | Some oc -> write_event oc (ref false) ev
-  | None ->
-      t.events <- ev :: t.events;
-      (match (t.txn_index, ev) with
-      | Some idx, Span s -> index_span idx s
-      | _ -> ())
+  t.events <- ev :: t.events;
+  match (t.txn_index, ev) with Some idx, Span s -> index_span idx s | _ -> ()
 
 let message t ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes ~enqueue ~depart
     ~deliver () =
@@ -212,9 +191,7 @@ let message t ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes ~enqueue ~de
           }
         in
         push t (Message m);
-        (* A streamed message is already rendered, so a later CPU-dequeue
-           time could not be added to it; return no handle. *)
-        if t.stream = None then Some m else None
+        Some m
       end
       else None
 
@@ -333,9 +310,22 @@ let iter_events t f =
 let sorted_counts tbl =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl [] |> List.sort compare
 
+(* Keys go in sorted, so equal sequences of absorbs build equal tables:
+   [kind_totals] then breaks count ties the same way on every run. *)
+let absorb ~into t =
+  List.iter (fun (k, n) -> bump into.kind_counts k n) (sorted_counts t.kind_counts);
+  List.iter (fun (k, n) -> bump into.kind_bytes k n) (sorted_counts t.kind_bytes);
+  List.iter (fun (k, n) -> bump into.link_counts k n) (sorted_counts t.link_counts)
+
 let kind_counts t = sorted_counts t.kind_counts
 let kind_bytes t = sorted_counts t.kind_bytes
 let link_counts t = sorted_counts t.link_counts
+
+let kind_totals t =
+  Hashtbl.fold
+    (fun kind n acc -> (kind, !n, !(Hashtbl.find t.kind_bytes kind)) :: acc)
+    t.kind_counts []
+  |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare b a)
 let total_messages t = Hashtbl.fold (fun _ r acc -> acc + !r) t.kind_counts 0
 let event_count t = t.n_events
 
@@ -354,24 +344,15 @@ let write_other_data t ~extra oc =
     (other_data t extra)
 
 let write_chrome_trace t ?(extra = []) oc =
-  match t.stream with
-  | Some stream_oc ->
-      (* Streaming: the events already went out; close the array and append
-         the counters that only settled now. *)
-      assert (stream_oc == oc);
-      output_string oc "\n],\n\"otherData\":{";
-      write_other_data t ~extra oc;
-      output_string oc "}}\n"
-  | None ->
-      output_string oc "{\"displayTimeUnit\":\"ms\",\n\"otherData\":{";
-      write_other_data t ~extra oc;
-      output_string oc "},\n\"traceEvents\":[\n";
-      output_string oc
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"network\"}},\n";
-      output_string oc
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"transactions\"}},\n";
-      output_string oc
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"faults\"}}";
-      let first = ref false in
-      List.iter (write_event oc first) (List.rev t.events);
-      output_string oc "\n]}\n"
+  output_string oc "{\"displayTimeUnit\":\"ms\",\n\"otherData\":{";
+  write_other_data t ~extra oc;
+  output_string oc "},\n\"traceEvents\":[\n";
+  output_string oc
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"network\"}},\n";
+  output_string oc
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"transactions\"}},\n";
+  output_string oc
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"faults\"}}";
+  let first = ref false in
+  List.iter (write_event oc first) (List.rev t.events);
+  output_string oc "\n]}\n"

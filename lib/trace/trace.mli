@@ -29,27 +29,11 @@ val enable : ?events:bool -> t -> unit
 (** Turn the sink on. [~events:false] counts messages per kind and per DC
     link but records no per-event data. *)
 
-val disable : t -> unit
-
 val enabled : t -> bool
 (** Counters or full mode. *)
 
 val recording : t -> bool
-(** Full mode only: per-event records are being buffered (or streamed). *)
-
-val stream_to : t -> out_channel -> unit
-(** Switch the sink to streaming output: the Chrome-trace prologue is
-    written immediately and every subsequent full-mode event is rendered
-    straight to [oc] instead of being buffered, so memory stays constant
-    regardless of run length. Call before any events are recorded, keep the
-    channel open for the whole run, and finish by calling
-    {!write_chrome_trace} on the {e same} channel — in streaming mode it
-    writes only the epilogue (closing the event array and appending
-    ["otherData"]). Streamed message events cannot receive a CPU-dequeue
-    time retroactively, so {!message} returns [None] and the [cpu_done_us]
-    arg is omitted; {!txn_events} and {!iter_events} see no events. *)
-
-val streaming : t -> bool
+(** Full mode only: per-event records are being buffered. *)
 
 (** {2 Emission — called by [Netsim.Network] and the protocol layers} *)
 
@@ -114,7 +98,16 @@ val kind_bytes : t -> (string * int) list
 (** Wire bytes (payload + header) per kind. *)
 
 val link_counts : t -> ((int * int) * int) list
-(** Messages per directed (src DC, dst DC) pair. *)
+(** Messages per directed (src DC, dst DC) pair, sorted by pair. *)
+
+val kind_totals : t -> (string * int * int) list
+(** (kind, messages, wire bytes), most messages first; ties in table
+    order, which is deterministic for a given sequence of {!absorb}s. *)
+
+val absorb : into:t -> t -> unit
+(** Add [t]'s per-kind and per-link message counters to [into]'s; events
+    are not copied. Totals over many runs are a fold of [absorb] into one
+    sink. *)
 
 val total_messages : t -> int
 val event_count : t -> int
@@ -156,7 +149,7 @@ type event_view =
 
 val iter_events : t -> (event_view -> unit) -> unit
 (** Full buffered mode only: every recorded event in chronological push
-    order. Empty in counters or streaming mode. *)
+    order. Empty in counters mode. *)
 
 (** {2 Output} *)
 
@@ -166,3 +159,14 @@ val write_chrome_trace : t -> ?extra:(string * string) list -> out_channel -> un
     async events on pid 1 keyed by transaction id, fault-injection events as
     instants on pid 2. [extra] adds entries to the top-level ["otherData"]
     object. *)
+
+(** {2 JSON} *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal: quotes, backslashes and control
+    characters escaped. *)
+
+val json_float : float -> string
+(** A JSON number: integral values below 1e15 exactly ([1703213], not
+    [1.70321e+06]), others to six significant digits, and [null] for NaN
+    and infinities. *)

@@ -276,7 +276,8 @@ let test_batched_run_deterministic () =
   in
   let gen = Workload.Ycsbt.gen () in
   let run () =
-    Harness.Experiment.run setup (Harness.Experiment.Carousel_basic) ~gen ~seed:7
+    (Harness.Experiment.run_outcome setup Harness.Experiment.Carousel_basic ~gen ~seed:7)
+      .Harness.Experiment.o_result
   in
   let r1 = run () and r2 = run () in
   Alcotest.(check int) "same commits" r1.Workload.Driver.committed_low

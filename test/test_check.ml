@@ -262,9 +262,11 @@ let families =
   ]
 
 let checked_clean ?faults spec () =
-  let _result, _history, report =
-    Harness.Experiment.run_checked ?faults contended_setup spec ~gen:hot_gen ~seed:11
+  let o =
+    Harness.Experiment.run_outcome ~check:true ?faults contended_setup spec ~gen:hot_gen
+      ~seed:11
   in
+  let _history, report = Option.get o.Harness.Experiment.o_check in
   Alcotest.(check bool) "transactions recorded" true (report.Check.Checker.checked_txns > 0);
   Alcotest.(check int) "no violations" 0 (List.length report.Check.Checker.violations)
 

@@ -135,7 +135,9 @@ let crash_restart_schedule =
 let recovery_for spec () =
   let gen = Workload.Ycsbt.gen () in
   let r =
-    Harness.Experiment.run ~faults:crash_restart_schedule faulted_setup spec ~gen ~seed:1
+    (Harness.Experiment.run_outcome ~faults:crash_restart_schedule faulted_setup spec ~gen
+       ~seed:1)
+      .Harness.Experiment.o_result
   in
   Alcotest.(check int) "no hung transactions" 0 r.Workload.Driver.unfinished;
   let after_heal =
@@ -149,7 +151,9 @@ let test_faulted_run_deterministic () =
   let gen = Workload.Ycsbt.gen () in
   let spec = Harness.Experiment.Natto Natto.Features.recsf in
   let go () =
-    Harness.Experiment.run ~faults:crash_restart_schedule faulted_setup spec ~gen ~seed:5
+    (Harness.Experiment.run_outcome ~faults:crash_restart_schedule faulted_setup spec ~gen
+       ~seed:5)
+      .Harness.Experiment.o_result
   in
   let r1 = go () and r2 = go () in
   Alcotest.(check int) "same high commits" r1.Workload.Driver.committed_high
@@ -162,12 +166,14 @@ let test_faulted_run_deterministic () =
 let test_fault_events_traced () =
   let gen = Workload.Ycsbt.gen () in
   let file = Filename.temp_file "natto_faults" ".json" in
-  let t =
-    Harness.Experiment.run_traced ~faults:crash_restart_schedule faulted_setup
+  let o =
+    Harness.Experiment.run_outcome ~faults:crash_restart_schedule ~trace:true faulted_setup
       (Harness.Experiment.Natto Natto.Features.ts)
-      ~gen ~seed:1 ~file
+      ~gen ~seed:1
   in
-  ignore t;
+  let oc = open_out file in
+  Trace.write_chrome_trace (Option.get o.Harness.Experiment.o_trace) oc;
+  close_out oc;
   let ic = open_in file in
   let len = in_channel_length ic in
   let body = really_input_string ic len in

@@ -62,6 +62,23 @@ let test_disabled_noop () =
   Alcotest.(check int) "no windows when disabled" 0 (List.length (Registry.windows reg));
   Alcotest.(check int) "no sampler events" 0 (Engine.events_processed engine)
 
+(* A sealed registry keeps what it recorded but samples nothing more and
+   no longer holds its instruments' closures. *)
+let test_seal () =
+  let reg = Registry.create () in
+  Registry.enable ~interval:(ms 10.) reg;
+  let reads = ref 0 in
+  Registry.gauge reg "g" (fun () -> incr reads; 1.0);
+  let h = Registry.histogram reg "lat" in
+  Registry.observe h 5.0;
+  Registry.sample_now reg ~now:(ms 10.);
+  Registry.seal reg;
+  Registry.sample_now reg ~now:(ms 20.);
+  Alcotest.(check bool) "disabled" false (Registry.enabled reg);
+  Alcotest.(check int) "windows kept, none added" 1 (List.length (Registry.windows reg));
+  Alcotest.(check int) "gauge not read after seal" 1 !reads;
+  Alcotest.(check int) "histogram kept" 1 (Registry.hist_count h)
+
 let test_reset () =
   let reg = Registry.create () in
   Registry.enable ~interval:(ms 10.) reg;
@@ -634,6 +651,7 @@ let () =
           Alcotest.test_case "disabled registry is inert" `Quick test_disabled_noop;
           Alcotest.test_case "reset drops data, keeps handles" `Quick test_reset;
           Alcotest.test_case "sampling is deterministic" `Quick test_sampling_deterministic;
+          Alcotest.test_case "seal keeps data, drops instruments" `Quick test_seal;
         ] );
       ( "attribution",
         [

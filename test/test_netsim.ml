@@ -229,6 +229,19 @@ let test_envelope_sizes () =
   Alcotest.(check (option int)) "txn" (Some 42) m.Msg.txn;
   Alcotest.(check (option int)) "priority" (Some 1) m.Msg.priority
 
+(* The one JSON emitter every writer shares: integral values exactly (so
+   event counts compare exactly across runs), others to six significant
+   digits, non-finite values as null, strings escaped. *)
+let test_json_emitter () =
+  Alcotest.(check string) "integral float exact" "1703213" (Trace.json_float 1703213.);
+  Alcotest.(check string) "negative integral" "-42" (Trace.json_float (-42.));
+  Alcotest.(check string) "non-integral float" "3.14159" (Trace.json_float 3.14159265);
+  Alcotest.(check string) "small non-integral" "1.5e-07" (Trace.json_float 1.5e-7);
+  Alcotest.(check string) "nan" "null" (Trace.json_float Float.nan);
+  Alcotest.(check string) "infinity" "null" (Trace.json_float Float.infinity);
+  Alcotest.(check string) "escapes" {|a\"b\\c\u0001d\ne|}
+    (Trace.json_escape "a\"b\\c\001d\ne")
+
 let () =
   Alcotest.run "netsim"
     [
@@ -246,5 +259,6 @@ let () =
           Alcotest.test_case "chrome trace json" `Quick test_chrome_trace_output;
           Alcotest.test_case "disabled sink is free" `Quick test_trace_disabled_is_free;
           Alcotest.test_case "envelope sizes" `Quick test_envelope_sizes;
+          Alcotest.test_case "json emitter" `Quick test_json_emitter;
         ] );
     ]

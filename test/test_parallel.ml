@@ -4,8 +4,8 @@
    - Pool.map_ordered preserves input order and propagates exceptions
      deterministically at any job count.
    - A small figure sweep run at --jobs 4 produces byte-identical CSV text
-     and identical collected points to --jobs 1; run_repeated over several
-     seeds produces the identical summary.
+     and identical collected points to --jobs 1; a batch of seeds farmed
+     over the pool and merged in seed order produces the identical summary.
    - QCheck: under random push/cancel/pop interleavings the event queue
      (whose heap now compacts away dead entries) pops exactly what a naive
      model pops, and its O(1) live counter always agrees with the model. *)
@@ -121,7 +121,7 @@ let test_sweep_jobs_identical () =
   Alcotest.(check int) "point count" (List.length points1) (List.length points4);
   Alcotest.(check bool) "collected points identical" true (points1 = points4)
 
-let test_run_repeated_jobs_identical () =
+let test_seed_batch_jobs_identical () =
   let gen = Workload.Ycsbt.gen () in
   let setup =
     {
@@ -137,12 +137,15 @@ let test_run_repeated_jobs_identical () =
     }
   in
   let spec = Harness.Experiment.Natto Natto.Features.recsf in
-  let s1 =
-    Harness.Experiment.run_repeated ~check:true ~jobs:1 setup spec ~gen ~seeds:[ 1; 2 ]
+  (* Seeds farmed over the pool, merged in seed order on this domain. *)
+  let go jobs =
+    Harness.Pool.map_ordered ~jobs
+      (fun seed -> Harness.Experiment.run_outcome ~check:true setup spec ~gen ~seed)
+      [ 1; 2 ]
+    |> List.map Harness.Experiment.merge_outcome
+    |> Harness.Experiment.summarize
   in
-  let s4 =
-    Harness.Experiment.run_repeated ~check:true ~jobs:4 setup spec ~gen ~seeds:[ 1; 2 ]
-  in
+  let s1 = go 1 and s4 = go 4 in
   Alcotest.(check bool) "summaries identical" true (s1 = s4);
   Alcotest.(check bool) "ran transactions" true (s1.Harness.Experiment.commits > 0)
 
@@ -308,7 +311,7 @@ let () =
         [
           Alcotest.test_case "sweep --jobs 4 == --jobs 1" `Quick test_sweep_jobs_identical;
           Alcotest.test_case "run_repeated --jobs 4 == --jobs 1" `Quick
-            test_run_repeated_jobs_identical;
+            test_seed_batch_jobs_identical;
         ] );
       ( "event_queue",
         [

@@ -226,12 +226,18 @@ let families =
     Harness.Experiment.Natto Natto.Features.recsf;
   ]
 
+(* Checked runs over [seeds], farmed over [jobs] domains and merged in
+   seed order; merging raises on any checker violation. *)
+let checked_summary ?(jobs = 1) setup spec ~gen ~seeds =
+  Harness.Pool.map_ordered ~jobs
+    (fun seed -> Harness.Experiment.run_outcome ~check:true setup spec ~gen ~seed)
+    seeds
+  |> List.map Harness.Experiment.merge_outcome
+  |> Harness.Experiment.summarize
+
 let test_e2e_pa_checked spec () =
   let gen = Workload.Ycsbt.gen ~theta:0.99 () in
-  (* run_repeated ~check:true raises on any checker violation. *)
-  let s =
-    Harness.Experiment.run_repeated ~check:true (quick_setup ~pa:true) spec ~gen ~seeds:[ 1 ]
-  in
+  let s = checked_summary (quick_setup ~pa:true) spec ~gen ~seeds:[ 1 ] in
   Alcotest.(check bool) "committed work" true (s.Harness.Experiment.commits > 0);
   Alcotest.(check bool)
     "retries resumed from a validated prefix" true
@@ -243,7 +249,7 @@ let test_e2e_pa_checked spec () =
 let test_e2e_off_counters_zero () =
   let gen = Workload.Ycsbt.gen ~theta:0.99 () in
   let s =
-    Harness.Experiment.run_repeated ~check:true (quick_setup ~pa:false)
+    checked_summary (quick_setup ~pa:false)
       (Harness.Experiment.Natto Natto.Features.recsf) ~gen ~seeds:[ 1 ]
   in
   Alcotest.(check int) "no partial restarts with the flag off" 0
@@ -253,7 +259,7 @@ let test_e2e_off_counters_zero () =
 let test_e2e_jobs_identical () =
   let gen = Workload.Ycsbt.gen ~theta:0.99 () in
   let go jobs =
-    Harness.Experiment.run_repeated ~check:true ~jobs (quick_setup ~pa:true)
+    checked_summary ~jobs (quick_setup ~pa:true)
       (Harness.Experiment.Natto Natto.Features.recsf) ~gen ~seeds:[ 1; 2 ]
   in
   Alcotest.(check bool) "jobs 1 and 4 summaries identical" true (go 1 = go 4)

@@ -156,12 +156,20 @@ let quick_driver =
 let quick_setup =
   { Harness.Experiment.default_setup with Harness.Experiment.driver = quick_driver }
 
+(* Checked runs over seeds 1 and 2, farmed over [jobs] domains and merged
+   in seed order; merging raises on any checker violation. *)
+let checked_summary ?(jobs = 1) variant ~gen =
+  Harness.Pool.map_ordered ~jobs
+    (fun seed ->
+      Harness.Experiment.run_outcome ~check:true quick_setup
+        (Harness.Experiment.Quecc variant) ~gen ~seed)
+    [ 1; 2 ]
+  |> List.map Harness.Experiment.merge_outcome
+  |> Harness.Experiment.summarize
+
 let test_e2e_fault_free variant () =
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
-  let s =
-    Harness.Experiment.run_repeated ~check:true quick_setup
-      (Harness.Experiment.Quecc variant) ~gen ~seeds:[ 1; 2 ]
-  in
+  let s = checked_summary variant ~gen in
   Alcotest.(check bool) "committed work" true (s.Harness.Experiment.commits > 0);
   Alcotest.(check int) "zero client-visible aborts" 0 s.Harness.Experiment.aborts;
   Alcotest.(check int) "no failed transactions" 0 s.Harness.Experiment.failed;
@@ -169,10 +177,7 @@ let test_e2e_fault_free variant () =
 
 let test_e2e_jobs_identical () =
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
-  let go jobs =
-    Harness.Experiment.run_repeated ~check:true ~jobs quick_setup
-      (Harness.Experiment.Quecc Quecc.Prio) ~gen ~seeds:[ 1; 2 ]
-  in
+  let go jobs = checked_summary ~jobs Quecc.Prio ~gen in
   Alcotest.(check bool) "jobs 1 and 4 summaries identical" true (go 1 = go 4)
 
 let crash_cut_schedule =
@@ -192,10 +197,12 @@ let test_e2e_crash_cut variant () =
   let setup =
     { Harness.Experiment.default_setup with Harness.Experiment.driver = faulted_driver }
   in
-  let r, _history, report =
-    Harness.Experiment.run_checked ~faults:crash_cut_schedule setup
+  let o =
+    Harness.Experiment.run_outcome ~check:true ~faults:crash_cut_schedule setup
       (Harness.Experiment.Quecc variant) ~gen ~seed:1
   in
+  let r = o.Harness.Experiment.o_result in
+  let _history, report = Option.get o.Harness.Experiment.o_check in
   Alcotest.(check bool) "history serializable" true (Check.Checker.ok report);
   Alcotest.(check int) "no hung transactions" 0 r.Workload.Driver.unfinished;
   let after_heal =
