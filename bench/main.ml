@@ -134,73 +134,54 @@ let git_rev () =
    figure id -> series -> point list, with run metadata. The CSV on stdout
    stays the human-readable copy; this file is for plotting scripts and
    regression diffs. *)
-let write_results ~scale ~wall_s ~jobs file =
+let write_results ~scale ~wall_s ~jobs points file =
   let open Harness.Figures in
-  let points = collected_points () in
-  if points <> [] then begin
-    let oc = open_out file in
-    let uniq xs =
-      List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
-    in
-    (* busy / wall is the achieved parallel speedup: total time spent inside
-       simulation jobs over the elapsed wall clock. At --jobs 1 it is ~1. *)
-    let busy_s = Harness.Pool.busy_seconds () in
-    let speedup = if wall_s > 0. then busy_s /. wall_s else 1.0 in
-    Printf.fprintf oc
-      "{\"meta\":{\"scale\":\"%s\",\"seeds\":[%s],\"git_rev\":\"%s\",\"wall_time_s\":%.1f,\
-       \"jobs\":%d,\"busy_time_s\":%.1f,\"speedup\":%.2f},\n\
-       \"figures\":{"
-      (match scale with Quick -> "quick" | Full -> "full")
-      (String.concat "," (List.map string_of_int (seeds scale)))
-      (Trace.json_escape (git_rev ()))
-      wall_s jobs busy_s speedup;
-    let figures = uniq (List.map (fun p -> p.pt_figure) points) in
-    List.iteri
-      (fun fi fig ->
-        if fi > 0 then output_string oc ",";
-        let fpoints = List.filter (fun p -> p.pt_figure = fig) points in
-        Printf.fprintf oc "\n\"%s\":{" (Trace.json_escape fig);
-        List.iteri
-          (fun si sys ->
-            if si > 0 then output_string oc ",";
-            Printf.fprintf oc "\n  \"%s\":[" (Trace.json_escape sys);
-            List.iteri
-              (fun pi p ->
-                if pi > 0 then output_string oc ",";
-                Printf.fprintf oc "\n    {\"%s\":\"%s\"" (Trace.json_escape p.pt_x_label)
-                  (Trace.json_escape p.pt_x);
-                List.iter
-                  (fun (k, v) ->
-                    Printf.fprintf oc ",\"%s\":%s" (Trace.json_escape k) (Trace.json_float v))
-                  p.pt_fields;
-                output_string oc "}")
-              (List.filter (fun p -> p.pt_system = sys) fpoints);
-            output_string oc "]")
-          (uniq (List.map (fun p -> p.pt_system) fpoints));
-        output_string oc "}")
-      figures;
-    output_string oc "}}\n";
-    close_out oc;
-    Printf.printf "\n# wrote %s (%d figures, %d points)\n%!" file (List.length figures)
-      (List.length points)
-  end
-
-let print_trace_summary traffic =
-  Printf.printf "\n# Message traffic by kind (all runs)\n";
-  List.iter
-    (fun (kind, n, bytes) -> Printf.printf "%-20s %12d msgs %16d bytes\n%!" kind n bytes)
-    (Trace.kind_totals traffic);
-  Printf.printf "\n# Message traffic by DC link\n";
-  List.iter
-    (fun ((src, dst), n) -> Printf.printf "dc%d -> dc%d %12d msgs\n%!" src dst n)
-    (Trace.link_counts traffic)
+  let uniq xs =
+    List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
+  in
+  (* busy / wall is the achieved parallel speedup: total time spent inside
+     simulation jobs over the elapsed wall clock. At --jobs 1 it is ~1. *)
+  let busy_s = Harness.Pool.busy_seconds () in
+  let meta =
+    Trace.Obj
+      [
+        ("scale", Trace.String (match scale with Quick -> "quick" | Full -> "full"));
+        ("seeds", Trace.List (List.map (fun s -> Trace.Int s) (seeds scale)));
+        ("git_rev", Trace.String (git_rev ()));
+        ("wall_time_s", Trace.Float wall_s);
+        ("jobs", Trace.Int jobs);
+        ("busy_time_s", Trace.Float busy_s);
+        ("speedup", Trace.Float (if wall_s > 0. then busy_s /. wall_s else 1.0));
+      ]
+  in
+  let point p =
+    Trace.Obj
+      ((p.pt_x_label, Trace.String p.pt_x)
+      :: List.map (fun (k, v) -> (k, Trace.Float v)) p.pt_fields)
+  in
+  let figure fig =
+    let fpoints = List.filter (fun p -> p.pt_figure = fig) points in
+    Trace.Obj
+      (List.map
+         (fun sys ->
+           (sys, Trace.List (List.map point (List.filter (fun p -> p.pt_system = sys) fpoints))))
+         (uniq (List.map (fun p -> p.pt_system) fpoints)))
+  in
+  let figures = uniq (List.map (fun p -> p.pt_figure) points) in
+  let oc = open_out file in
+  Trace.write_json oc
+    (Trace.Obj
+       [ ("meta", meta); ("figures", Trace.Obj (List.map (fun f -> (f, figure f)) figures)) ]);
+  close_out oc;
+  Printf.printf "\n# wrote %s (%d figures, %d points)\n%!" file (List.length figures)
+    (List.length points)
 
 let () =
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
   let scale = Harness.Figures.scale_of_env () in
   (* --trace-summary appends per-kind / per-link message totals to the run;
      counters-only tracing, so figure numbers are unchanged. *)
-  if List.mem "--trace-summary" args then Harness.Figures.count_messages ();
+  let count_messages = List.mem "--trace-summary" args in
   let args = List.filter (fun a -> a <> "--trace-summary") args in
   (* --jobs N / --jobs=N caps the Domain pool for figure cells; the default
      is min(cores, cells) and NATTO_JOBS also overrides it. Results are
@@ -226,29 +207,27 @@ let () =
             exit 1)
   in
   Harness.Pool.set_jobs jobs_setting;
+  (* Figures run first, in the order given, then the micro-benchmarks. *)
+  let figures, micro =
+    match args with
+    | [] | [ "all" ] -> (Harness.Figures.all, true)
+    | names -> (List.filter (fun n -> n <> "micro") names, List.mem "micro" names)
+  in
   let t0 = Unix.gettimeofday () in
-  let run_all () =
-    Harness.Figures.all scale;
-    run_micro ()
-  in
-  (match args with
-  | [] | [ "all" ] -> run_all ()
-  | names ->
-      List.iter
-        (fun name ->
-          if name = "micro" then run_micro ()
-          else if not (Harness.Figures.run_by_name name scale) then begin
-            Printf.eprintf "unknown target %S; available: %s micro all\n" name
-              (String.concat " " Harness.Figures.names);
-            exit 1
-          end)
-        names);
-  Option.iter print_trace_summary (Harness.Figures.message_totals ());
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let jobs =
-    match jobs_setting with Some n -> n | None -> Harness.Pool.jobs_for ~cells:max_int
-  in
-  write_results ~scale ~wall_s ~jobs "BENCH_results.json";
-  Printf.printf "\n# bench wall time: %.1fs (jobs=%d, busy %.1fs, speedup %.2fx)\n%!" wall_s
-    jobs (Harness.Pool.busy_seconds ())
-    (if wall_s > 0. then Harness.Pool.busy_seconds () /. wall_s else 1.0)
+  match Harness.Figures.run ~count_messages scale figures with
+  | Error name ->
+      Printf.eprintf "unknown target %S; available: %s micro all\n" name
+        (String.concat " " Harness.Figures.names);
+      exit 1
+  | Ok results ->
+      if micro then run_micro ();
+      Option.iter Trace.print_totals results.Harness.Figures.messages;
+      let wall_s = Unix.gettimeofday () -. t0 in
+      let jobs =
+        match jobs_setting with Some n -> n | None -> Harness.Pool.jobs_for ~cells:max_int
+      in
+      if results.Harness.Figures.points <> [] then
+        write_results ~scale ~wall_s ~jobs results.Harness.Figures.points "BENCH_results.json";
+      Printf.printf "\n# bench wall time: %.1fs (jobs=%d, busy %.1fs, speedup %.2fx)\n%!"
+        wall_s jobs (Harness.Pool.busy_seconds ())
+        (if wall_s > 0. then Harness.Pool.busy_seconds () /. wall_s else 1.0)

@@ -39,13 +39,6 @@ let workload_names : (string * (zipf:float -> Workload.Gen.t)) list =
 
 (* --- metrics JSON ------------------------------------------------------ *)
 
-let attribution_classes breakdowns =
-  [
-    ("all", breakdowns);
-    ("high", List.filter (fun b -> b.Metrics.Attribution.t_high) breakdowns);
-    ("low", List.filter (fun b -> not b.Metrics.Attribution.t_high) breakdowns);
-  ]
-
 (* Largest |segment sum - end-to-end| over the run, in µs. The attribution
    arithmetic is exact by construction, so anything non-zero is a bug; the
    value is serialized so CI can gate on it. *)
@@ -56,148 +49,144 @@ let max_sum_mismatch breakdowns =
         (abs (Metrics.Attribution.total b.Metrics.Attribution.t_seg - b.Metrics.Attribution.t_e2e_us)))
     0 breakdowns
 
-let write_metrics_json oc metered =
-  let fields oc kvs =
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then output_string oc ",";
-        Printf.fprintf oc "\"%s\":%s" (Trace.json_escape k) v)
-      kvs
+let metrics_json metered =
+  let open Trace in
+  let floats kvs = Obj (List.map (fun (k, v) -> (k, Float v)) kvs) in
+  let ints kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs) in
+  let class_of high = String (if high then "high" else "low") in
+  let run (sys_name, seed, m) =
+    let reg = m.Harness.Experiment.m_registry in
+    let breakdowns = m.Harness.Experiment.m_breakdowns in
+    let w = Metrics.Attribution.wasted_work breakdowns in
+    let bl = m.Harness.Experiment.m_blame in
+    Obj
+      [
+        ("system", String sys_name);
+        ("seed", Int seed);
+        ("interval_us", Int (Metrics.Registry.interval reg));
+        (* Per-window time series: one object per sampling window, samples
+           keyed by instrument name. *)
+        ( "windows",
+          List
+            (List.map
+               (fun w ->
+                 Obj
+                   [
+                     ("start_us", Int w.Metrics.Registry.w_start);
+                     ("end_us", Int w.Metrics.Registry.w_end);
+                     ("samples", floats w.Metrics.Registry.samples);
+                   ])
+               (Metrics.Registry.windows reg)) );
+        ( "histograms",
+          List
+            (List.map
+               (fun (name, h) ->
+                 let n = Metrics.Registry.hist_count h in
+                 let pct p =
+                   if n = 0 then Null else Float (Metrics.Registry.hist_percentile h ~p)
+                 in
+                 Obj
+                   [
+                     ("name", String name);
+                     ("count", Int n);
+                     ("p50_ms", pct 0.50);
+                     ("p95_ms", pct 0.95);
+                     ("p99_ms", pct 0.99);
+                   ])
+               (Metrics.Registry.histograms reg)) );
+        ( "attribution",
+          Obj
+            (List.map
+               (fun (label, a) ->
+                 ( label,
+                   Obj
+                     [
+                       ("n", Int a.Metrics.Attribution.n);
+                       ("e2e_mean_ms", Float a.Metrics.Attribution.e2e_mean_ms);
+                       ("e2e_p95_ms", Float a.Metrics.Attribution.e2e_p95_ms);
+                       ("e2e_p99_ms", Float a.Metrics.Attribution.e2e_p99_ms);
+                       ("residual_fraction", Float (Metrics.Attribution.residual_fraction a));
+                       ("mean_us", floats a.Metrics.Attribution.mean_us);
+                       ("tail99_us", floats a.Metrics.Attribution.tail99_us);
+                     ] ))
+               (Metrics.Attribution.by_class breakdowns)) );
+        ( "attribution_check",
+          ints
+            [
+              ("txns", List.length breakdowns);
+              ("max_sum_mismatch_us", max_sum_mismatch breakdowns);
+            ] );
+        (* Wasted-work view: aborted-attempt time split into the share covered
+           by partial-abort prefix reuse and the share truly thrown away
+           (reused_us + discarded_us = backoff_us exactly). *)
+        ( "wasted",
+          ints
+            [
+              ("txns", w.Metrics.Attribution.wk_txns);
+              ("exec_us", w.Metrics.Attribution.wk_exec_us);
+              ("backoff_us", w.Metrics.Attribution.wk_backoff_us);
+              ("reused_us", w.Metrics.Attribution.wk_reused_us);
+              ("discarded_us", w.Metrics.Attribution.wk_discarded_us);
+            ] );
+        (* Causal blame profile: who-blocked-whom over the same breakdowns.
+           [blame_check.max_sum_mismatch_us] gates the exact-sum invariant —
+           per txn, lock/queue blame charges sum to lock_wait + queue_wait. *)
+        ( "blame",
+          Obj
+            [
+              ( "matrix_us",
+                Obj
+                  (List.mapi
+                     (fun row label ->
+                       let cell col = bl.Metrics.Blame.b_matrix.(row).(col) in
+                       (label, ints [ ("high", cell 0); ("low", cell 1); ("none", cell 2) ]))
+                     [ "high"; "low" ]) );
+              ("wait_us", Int bl.Metrics.Blame.b_wait_us);
+              ("inversion_us", Int bl.Metrics.Blame.b_inversion_us);
+              ( "hot_keys",
+                List
+                  (List.map
+                     (fun (k, us) -> ints [ ("key", k); ("blocked_us", us) ])
+                     bl.Metrics.Blame.b_hot_keys) );
+              ( "top_blockers",
+                List
+                  (List.map
+                     (fun (b, h, us) ->
+                       Obj [ ("txn", Int b); ("class", class_of h); ("blocked_us", Int us) ])
+                     bl.Metrics.Blame.b_blockers) );
+              ( "exemplars",
+                List
+                  (List.map
+                     (fun ex ->
+                       Obj
+                         [
+                           ("label", String ex.Metrics.Blame.ex_label);
+                           ("class", class_of ex.Metrics.Blame.ex_high);
+                           ("e2e_us", Int ex.Metrics.Blame.ex_e2e_us);
+                           ("wait_us", Int ex.Metrics.Blame.ex_wait_us);
+                           ( "timeline",
+                             List
+                               (List.map
+                                  (fun l -> String l)
+                                  (ex.Metrics.Blame.ex_charges @ ex.Metrics.Blame.ex_timeline))
+                           );
+                         ])
+                     bl.Metrics.Blame.b_exemplars) );
+              ( "blame_check",
+                ints
+                  [
+                    ("txns", bl.Metrics.Blame.b_n);
+                    ("max_sum_mismatch_us", Metrics.Blame.max_mismatch breakdowns);
+                  ] );
+            ] );
+      ]
   in
   (* schema_version: bumped whenever the shape of this document changes.
-     1 = PR 4 (windows/histograms/attribution), 2 = blame profiling (the
+     1 = windows/histograms/attribution, 2 = blame profiling (the
      "blame" section per run, plus this very field), 3 = partial aborts (the
      "wasted" section: exec/backoff split into reused and discarded µs).
      Consumers should reject versions they do not know. *)
-  output_string oc "{\"schema_version\":3,\"runs\":[";
-  List.iteri
-    (fun ri (sys_name, seed, m) ->
-      if ri > 0 then output_string oc ",";
-      let reg = m.Harness.Experiment.m_registry in
-      let breakdowns = m.Harness.Experiment.m_breakdowns in
-      Printf.fprintf oc "\n{\"system\":\"%s\",\"seed\":%d,\"interval_us\":%d,\n"
-        (Trace.json_escape sys_name) seed (Metrics.Registry.interval reg);
-      (* Per-window time series: one object per sampling window, samples keyed
-         by instrument name. *)
-      output_string oc "\"windows\":[";
-      List.iteri
-        (fun wi w ->
-          if wi > 0 then output_string oc ",";
-          Printf.fprintf oc "\n  {\"start_us\":%d,\"end_us\":%d,\"samples\":{"
-            w.Metrics.Registry.w_start w.Metrics.Registry.w_end;
-          fields oc
-            (List.map (fun (k, v) -> (k, Trace.json_float v)) w.Metrics.Registry.samples);
-          output_string oc "}}")
-        (Metrics.Registry.windows reg);
-      output_string oc "],\n\"histograms\":[";
-      List.iteri
-        (fun hi (hname, h) ->
-          if hi > 0 then output_string oc ",";
-          let n = Metrics.Registry.hist_count h in
-          let pct p =
-            if n = 0 then "null" else Trace.json_float (Metrics.Registry.hist_percentile h ~p)
-          in
-          Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," (Trace.json_escape hname) n;
-          fields oc [ ("p50_ms", pct 0.50); ("p95_ms", pct 0.95); ("p99_ms", pct 0.99) ];
-          output_string oc "}")
-        (Metrics.Registry.histograms reg);
-      output_string oc "],\n\"attribution\":{";
-      let first = ref true in
-      List.iter
-        (fun (label, bds) ->
-          match Metrics.Attribution.aggregate bds with
-          | None -> ()
-          | Some a ->
-              if not !first then output_string oc ",";
-              first := false;
-              Printf.fprintf oc "\n  \"%s\":{" label;
-              fields oc
-                [
-                  ("n", string_of_int a.Metrics.Attribution.n);
-                  ("e2e_mean_ms", Trace.json_float a.Metrics.Attribution.e2e_mean_ms);
-                  ("e2e_p95_ms", Trace.json_float a.Metrics.Attribution.e2e_p95_ms);
-                  ("e2e_p99_ms", Trace.json_float a.Metrics.Attribution.e2e_p99_ms);
-                  ("residual_fraction", Trace.json_float (Metrics.Attribution.residual_fraction a));
-                ];
-              output_string oc ",\"mean_us\":{";
-              fields oc
-                (List.map (fun (k, v) -> (k, Trace.json_float v)) a.Metrics.Attribution.mean_us);
-              output_string oc "},\"tail99_us\":{";
-              fields oc
-                (List.map (fun (k, v) -> (k, Trace.json_float v)) a.Metrics.Attribution.tail99_us);
-              output_string oc "}}")
-        (attribution_classes breakdowns);
-      Printf.fprintf oc "},\n\"attribution_check\":{\"txns\":%d,\"max_sum_mismatch_us\":%d},"
-        (List.length breakdowns) (max_sum_mismatch breakdowns);
-      (* Wasted-work view: aborted-attempt time split into the share covered
-         by partial-abort prefix reuse and the share truly thrown away
-         (reused_us + discarded_us = backoff_us exactly). *)
-      let w = Metrics.Attribution.wasted_work breakdowns in
-      Printf.fprintf oc
-        "\n\
-         \"wasted\":{\"txns\":%d,\"exec_us\":%d,\"backoff_us\":%d,\"reused_us\":%d,\"discarded_us\":%d},"
-        w.Metrics.Attribution.wk_txns w.Metrics.Attribution.wk_exec_us
-        w.Metrics.Attribution.wk_backoff_us w.Metrics.Attribution.wk_reused_us
-        w.Metrics.Attribution.wk_discarded_us;
-      (* Causal blame profile: who-blocked-whom over the same breakdowns.
-         [blame_check.max_sum_mismatch_us] gates the exact-sum invariant —
-         per txn, lock/queue blame charges sum to lock_wait + queue_wait. *)
-      let bl = m.Harness.Experiment.m_blame in
-      output_string oc "\n\"blame\":{\"matrix_us\":{";
-      List.iteri
-        (fun row label ->
-          if row > 0 then output_string oc ",";
-          Printf.fprintf oc "\"%s\":{\"high\":%d,\"low\":%d,\"none\":%d}" label
-            bl.Metrics.Blame.b_matrix.(row).(0)
-            bl.Metrics.Blame.b_matrix.(row).(1)
-            bl.Metrics.Blame.b_matrix.(row).(2))
-        [ "high"; "low" ];
-      Printf.fprintf oc "},\"wait_us\":%d,\"inversion_us\":%d,\"hot_keys\":["
-        bl.Metrics.Blame.b_wait_us bl.Metrics.Blame.b_inversion_us;
-      List.iteri
-        (fun i (k, us) ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc "{\"key\":%d,\"blocked_us\":%d}" k us)
-        bl.Metrics.Blame.b_hot_keys;
-      output_string oc "],\"top_blockers\":[";
-      List.iteri
-        (fun i (b, h, us) ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc "{\"txn\":%d,\"class\":\"%s\",\"blocked_us\":%d}" b
-            (if h then "high" else "low")
-            us)
-        bl.Metrics.Blame.b_blockers;
-      output_string oc "],\"exemplars\":[";
-      List.iteri
-        (fun i ex ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc
-            "\n  {\"label\":\"%s\",\"class\":\"%s\",\"e2e_us\":%d,\"wait_us\":%d,\"timeline\":["
-            (Trace.json_escape ex.Metrics.Blame.ex_label)
-            (if ex.Metrics.Blame.ex_high then "high" else "low")
-            ex.Metrics.Blame.ex_e2e_us ex.Metrics.Blame.ex_wait_us;
-          List.iteri
-            (fun li l ->
-              if li > 0 then output_string oc ",";
-              Printf.fprintf oc "\"%s\"" (Trace.json_escape l))
-            (ex.Metrics.Blame.ex_charges @ ex.Metrics.Blame.ex_timeline);
-          output_string oc "]}")
-        bl.Metrics.Blame.b_exemplars;
-      Printf.fprintf oc "],\"blame_check\":{\"txns\":%d,\"max_sum_mismatch_us\":%d}}}"
-        bl.Metrics.Blame.b_n
-        (Metrics.Blame.max_mismatch breakdowns))
-    metered;
-  output_string oc "\n]}\n"
-
-let print_trace_totals traffic =
-  Printf.printf "\n# Message traffic by kind (all runs)\n";
-  List.iter
-    (fun (kind, n, bytes) -> Printf.printf "# %-20s %12d msgs %16d bytes\n%!" kind n bytes)
-    (Trace.kind_totals traffic);
-  Printf.printf "# Message traffic by DC link\n";
-  List.iter
-    (fun ((src, dst), n) -> Printf.printf "# dc%d -> dc%d %12d msgs\n%!" src dst n)
-    (Trace.link_counts traffic)
+  Obj [ ("schema_version", Int 3); ("runs", List (List.map run metered)) ]
 
 (* Prefix every line of a rendered table with "# " so the CSV block stays
    machine-readable. *)
@@ -401,20 +390,16 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
               outs)
           by_system
       in
-      write_metrics_json oc metered;
+      Trace.write_json oc (metrics_json metered);
       close_out oc;
       (* Attribution tables on stdout, '#'-prefixed so the CSV block above
          stays byte-for-byte that of a run without --metrics. *)
       List.iter
         (fun (sys_name, seed, m) ->
-          let rows =
-            List.filter_map
-              (fun (label, bds) ->
-                Option.map (fun a -> (label, a)) (Metrics.Attribution.aggregate bds))
-              (attribution_classes m.Harness.Experiment.m_breakdowns)
-          in
           let title = Printf.sprintf "%s, seed %d" sys_name seed in
-          print_commented (Metrics.Attribution.render ~title rows);
+          print_commented
+            (Metrics.Attribution.render ~title
+               (Metrics.Attribution.by_class m.Harness.Experiment.m_breakdowns));
           print_commented (Metrics.Blame.render ~title m.Harness.Experiment.m_blame);
           let mismatch = max_sum_mismatch m.Harness.Experiment.m_breakdowns in
           if mismatch > 0 then
@@ -441,7 +426,7 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
     List.iter
       (fun o -> Option.iter (Trace.absorb ~into:traffic) o.Harness.Experiment.o_trace)
       outcomes;
-    print_trace_totals traffic
+    Trace.print_totals traffic
   end;
   !violations
 
@@ -588,19 +573,33 @@ let figure_arg =
 let main systems workload rate zipf duration seeds high_fraction topo variance loss partitions
     clients_per_dc drain batching partial_abort histograms trace_file metrics_file trace_summary
     faults_spec jobs check figure =
+  let positive x = Float.is_finite x && x > 0. in
+  let non_negative x = Float.is_finite x && x >= 0. in
   match jobs with
   | Some n when n < 1 -> `Error (false, "--jobs must be >= 1")
   | _ when clients_per_dc < 1 -> `Error (false, "--clients-per-dc must be >= 1")
+  | _ when not (positive rate) -> `Error (false, "--rate must be finite and > 0")
+  | _ when not (positive duration) -> `Error (false, "--duration must be finite and > 0")
+  | _ when not (Option.fold ~none:true ~some:non_negative drain) ->
+      `Error (false, "--drain must be finite and >= 0")
+  | _ when not (non_negative zipf) -> `Error (false, "--zipf must be finite and >= 0")
+  | _ when not (non_negative variance) -> `Error (false, "--variance must be finite and >= 0")
+  | _ when not (high_fraction >= 0. && high_fraction <= 1.) ->
+      `Error (false, "--high-fraction must be in [0, 1]")
+  | _ when not (loss >= 0. && loss < 1.) -> `Error (false, "--loss must be in [0, 1)")
+  | _ when partitions < 1 -> `Error (false, "--partitions must be >= 1")
   | _ -> (
   Harness.Pool.set_jobs jobs;
   match figure with
-  | Some name ->
-      if trace_summary then Harness.Figures.count_messages ();
-      if Harness.Figures.run_by_name name (Harness.Figures.scale_of_env ()) then begin
-        Option.iter print_trace_totals (Harness.Figures.message_totals ());
-        `Ok ()
-      end
-      else `Error (false, Printf.sprintf "unknown figure %S" name)
+  | Some name -> (
+      match
+        Harness.Figures.run ~count_messages:trace_summary (Harness.Figures.scale_of_env ())
+          [ name ]
+      with
+      | Ok r ->
+          Option.iter Trace.print_totals r.Harness.Figures.messages;
+          `Ok ()
+      | Error _ -> `Error (false, Printf.sprintf "unknown figure %S" name))
   | None ->
       let systems =
         if systems = [ "all" ] then List.map fst system_names else systems

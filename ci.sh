@@ -3,20 +3,57 @@
 # Run from the repo root; exits non-zero on any failure.
 set -eu
 
-echo "== dune build =="
+# section NAME: report the finished section's wall seconds, then start NAME;
+# "section OK" closes the last one and prints the total.
+ci_start=$(date +%s)
+sec_start=$ci_start
+sec_name=""
+section() {
+  now=$(date +%s)
+  if [ -n "$sec_name" ]; then
+    echo "-- $sec_name: $((now - sec_start))s"
+  fi
+  sec_name="$1"
+  sec_start=$now
+  if [ "$1" = OK ]; then
+    echo "== OK == (total $((now - ci_start))s)"
+  else
+    echo "== $1 =="
+  fi
+}
+
+section "dune build"
 dune build
 
-echo "== dune runtest =="
+section "dune runtest"
 dune runtest
 
-echo "== trace smoke run =="
+section "option validation"
+# Out-of-range numeric options are rejected before any output: cmdliner's
+# usage-error exit (124) and nothing on stdout.
+bad_out="${TMPDIR:-/tmp}/natto_ci_bad_opt.out"
+for opt in "-r 0" "--rate=nan" "--rate=-5" "-p 0" "--partitions=-2" "--zipf=-1" \
+  "--duration=-1" "--drain=-3" "--high-fraction 2" "--high-fraction=-1" "--loss 1.5" \
+  "--loss=-0.2" "--variance=-0.5"; do
+  status=0
+  # shellcheck disable=SC2086  # $opt is split into flag and value on purpose
+  "$PWD/_build/default/bin/natto_sim.exe" -s 2pl --seeds 1 $opt >"$bad_out" 2>/dev/null \
+    || status=$?
+  if [ "$status" -ne 124 ] || [ -s "$bad_out" ]; then
+    echo "natto_sim $opt: expected exit 124 and no output, got exit $status"
+    exit 1
+  fi
+done
+rm -f "$bad_out"
+
+section "trace smoke run"
 trace_out="${TMPDIR:-/tmp}/natto_ci_trace.json"
 dune exec bin/natto_sim.exe -- -s natto-ts -d 2 --seeds 1 -r 50 \
   --trace "$trace_out" >/dev/null
 grep -q '"traceEvents"' "$trace_out"
 rm -f "$trace_out"
 
-echo "== fault-injection smoke run =="
+section "fault-injection smoke run"
 # Crash partition 0's leader at t=2s, restart it at t=6s; the run must
 # complete with no hung transactions and nonzero commits after the heal.
 faults_out="${TMPDIR:-/tmp}/natto_ci_faults.csv"
@@ -25,7 +62,7 @@ dune exec bin/natto_sim.exe -- -s natto-ts -d 8 --seeds 1 -r 50 \
 grep -q '# failover: .* commits_after_last_event=[1-9][0-9]* unfinished=0' "$faults_out"
 rm -f "$faults_out"
 
-echo "== history checker smoke =="
+section "history checker smoke"
 # One high-contention checked run per protocol family; --check exits
 # non-zero and prints the dependency-cycle counterexample on any
 # strict-serializability violation. Timed against the same run unchecked:
@@ -44,14 +81,14 @@ if [ "$checked" -gt $((2 * base + 1)) ]; then
   exit 1
 fi
 
-echo "== checked fault-schedule smoke =="
+section "checked fault-schedule smoke"
 # Every family must also stay strictly serializable through a leader crash
 # plus DC cut (in-doubt transactions resolved per the recorder's rules).
 dune exec bin/natto_sim.exe -- -s 2pl,tapir,carousel-basic,carousel-fast,natto-recsf \
   -d 8 --seeds 1 -r 50 -z 0.95 \
   --faults 'crash-leader:0@2s,cut:0-1@3s,heal@5s,restart@6s' --check >/dev/null
 
-echo "== quecc deterministic-family gates =="
+section "quecc deterministic-family gates"
 # The queue-oriented family resolves contention by planning: fault-free
 # checked runs must pass the checker with zero client-visible aborts (the
 # driver hard-fails on any) and surface in-epoch re-executions through the
@@ -73,7 +110,7 @@ dune exec bin/natto_sim.exe -- -s quecc,quecc-prio -d 8 --seeds 1 -r 50 -z 0.95 
   --faults 'crash-leader:0@2s,cut:0-1@3s,heal@5s,restart@6s' --check >/dev/null
 rm -f "$q_j1" "$q_j4"
 
-echo "== metrics smoke + determinism gate =="
+section "metrics smoke + determinism gate"
 # --metrics must (a) leave the CSV byte-for-byte identical to an
 # uninstrumented run ('#'-prefixed lines are commentary, not CSV), and
 # (b) write JSON that parses, carries sampled windows, and whose
@@ -142,21 +179,32 @@ if [ "$status" -ne 1 ] || [ -s "$bad_out" ]; then
 fi
 rm -f "$bad_out"
 
-echo "== blame-off golden gate =="
-# The blame plumbing (blocker capture in the lock tables, the Natto
-# waiting-split, QueCC chain scans, counters) must be observation-only:
-# with neither --metrics nor --trace, all thirteen systems reproduce the
-# pre-blame golden CSV byte for byte.
-blame_off="${TMPDIR:-/tmp}/natto_ci_blame_off.csv"
-blame_gold="${TMPDIR:-/tmp}/natto_ci_blame_gold.csv"
-dune exec bin/natto_sim.exe -- \
-  -s 2pl,2pl-p,2pl-pow,tapir,carousel-basic,carousel-fast,natto-ts,natto-lecsf,natto-pa,natto-cp,natto-recsf,quecc,quecc-prio \
-  -d 4 --drain 10 --seeds 1,2 -r 80 -z 0.95 --jobs 8 | grep -v '^#' >"$blame_off"
-grep -v '^#' test/golden/blame_off_smoke.csv >"$blame_gold"
-cmp "$blame_gold" "$blame_off"
-rm -f "$blame_off" "$blame_gold"
+section "golden matrix"
+# Default-off mechanisms must not move a byte. Each block of the matrix is
+# one natto_sim configuration and its expected stdout: batching off
+# (fault-free and under a leader failover), blame plumbing with neither
+# --metrics nor --trace (all thirteen systems), and partial aborts off at
+# the retry sweep's most contended point ('#' lines compared too).
+gold_dir="$(mktemp -d)"
+awk -v dir="$gold_dir" '
+  /^@@ / { n++; f = sprintf("%s/%03d", dir, n); print substr($0, 4) >(f ".key"); next }
+  n > 0 { print >(f ".want") }' test/golden/natto_sim.golden
+for key in "$gold_dir"/*.key; do
+  block="${key%.key}"
+  read -r filter args <"$key"
+  # shellcheck disable=SC2086  # the key is an argument list
+  dune exec bin/natto_sim.exe -- $args >"$block.got"
+  if [ "$filter" = csv ]; then
+    grep -v '^#' "$block.want" >"$block.want_csv"
+    grep -v '^#' "$block.got" >"$block.got_csv"
+    cmp "$block.want_csv" "$block.got_csv"
+  else
+    cmp "$block.want" "$block.got"
+  fi
+done
+rm -rf "$gold_dir"
 
-echo "== tailblame figure gate =="
+section "tailblame figure gate"
 # The causal-blame figure must be byte-identical at any --jobs, and its
 # Zipf-0.99 column must carry the headline: at least one Natto variant's
 # high class sees >=10x less high-blocked-by-low time than the no-priority
@@ -187,7 +235,7 @@ print("tailblame ok: baseline=%dus, %s=%dus (%.1fx), QueCC-Prio=0"
 EOF
 rm -f "$tb_j1" "$tb_j4"
 
-echo "== parallel harness determinism gate =="
+section "parallel harness determinism gate"
 # The Domain pool must not change a single output byte: one full figure at
 # --jobs 1 and --jobs 4 must produce byte-identical CSV streams and
 # byte-identical BENCH_results.json figure data (only the meta line — wall
@@ -214,21 +262,8 @@ dune exec bin/natto_sim.exe -- -s 2pl,natto-recsf -d 4 --seeds 1,2 -r 80 -z 0.95
 cmp "$cli_j1" "$cli_j4"
 rm -rf "$par_dir" "$cli_j1" "$cli_j4"
 
-echo "== batching gates =="
-# Batching is strictly opt-in: without --batching no batcher is installed
-# and Raft group commit stays off, so the commit path must reproduce the
-# pre-batching golden CSVs byte for byte — fault-free and under failover.
-bat_off="${TMPDIR:-/tmp}/natto_ci_batch_off.csv"
-bat_gold="${TMPDIR:-/tmp}/natto_ci_batch_gold.csv"
-dune exec bin/natto_sim.exe -- -s natto-recsf,2pl,tapir,carousel-basic,carousel-fast \
-  -d 2 --seeds 1 -r 50 | grep -v '^#' >"$bat_off"
-grep -v '^#' test/golden/batching_off_smoke.csv >"$bat_gold"
-cmp "$bat_gold" "$bat_off"
-dune exec bin/natto_sim.exe -- -s natto-recsf,2pl,tapir,carousel-basic,carousel-fast \
-  -d 8 --seeds 1 -r 50 --faults 'crash-leader:0@2s,restart@6s' | grep -v '^#' >"$bat_off"
-grep -v '^#' test/golden/failover_smoke.csv >"$bat_gold"
-cmp "$bat_gold" "$bat_off"
-rm -f "$bat_gold"
+section "batching gates"
+# Batching is strictly opt-in (the golden matrix pins the off path).
 # Batched runs must stay strictly serializable and, like everything else,
 # byte-identical at any --jobs count.
 bat_j1="${TMPDIR:-/tmp}/natto_ci_batch_j1.csv"
@@ -239,22 +274,14 @@ dune exec bin/natto_sim.exe -- -s 2pl,natto-recsf -d 4 --seeds 1,2 -r 80 -z 0.95
   --batching --check --jobs 4 >"$bat_j4"
 cmp "$bat_j1" "$bat_j4"
 grep -q '# check: .* ok' "$bat_j1"
-rm -f "$bat_off" "$bat_j1" "$bat_j4"
+rm -f "$bat_j1" "$bat_j4"
 
-echo "== partial-abort gates =="
-# Off is the default and must not move a byte: with the claims/cache/
-# fail-key plumbing dormant, all thirteen systems reproduce the
-# partial-off golden exactly at the sweep's most contended point.
-pa_off="${TMPDIR:-/tmp}/natto_ci_pa_off.csv"
-dune exec bin/natto_sim.exe -- \
-  -s 2pl,2pl-p,2pl-pow,tapir,carousel-basic,carousel-fast,natto-ts,natto-lecsf,natto-pa,natto-cp,natto-recsf,quecc,quecc-prio \
-  -d 4 --drain 10 --seeds 1,2 -r 80 -z 0.99 --jobs 8 >"$pa_off"
-cmp test/golden/partial_off_smoke.csv "$pa_off"
-rm -f "$pa_off"
-# On: resumed retries must stay strictly serializable (the claimed serve
-# reconstructs exactly what a full serve returns, so histories are
-# unchanged by construction) and actually resume — every optimistic
-# family shows nonzero partial_restarts at Zipf 0.99.
+section "partial-abort gates"
+# Off is the default (the golden matrix pins it). On: resumed retries
+# must stay strictly serializable (the claimed serve reconstructs exactly
+# what a full serve returns, so histories are unchanged by construction)
+# and actually resume — every optimistic family shows nonzero
+# partial_restarts at Zipf 0.99.
 pa_on="${TMPDIR:-/tmp}/natto_ci_pa_on.csv"
 dune exec bin/natto_sim.exe -- -s 2pl,tapir,carousel-basic,carousel-fast,natto-ts,natto-recsf \
   -d 4 --seeds 1 -r 80 -z 0.99 --partial-abort --check >"$pa_on"
@@ -269,7 +296,7 @@ dune exec bin/natto_sim.exe -- -s 2pl,tapir,carousel-basic,carousel-fast,natto-r
   -d 8 --seeds 1 -r 50 -z 0.95 --partial-abort \
   --faults 'crash-leader:0@2s,cut:0-1@3s,heal@5s,restart@6s' --check >/dev/null
 
-echo "== retrysweep figure gate =="
+section "retrysweep figure gate"
 # The partial-abort figure must be byte-identical at any --jobs, and its
 # metered Zipf-0.99 pass must show the point of the mechanism: at least
 # three families — Natto-RECSF among them — discard >=30% less
@@ -299,7 +326,7 @@ print("retrysweep ok: %d/%d families >=30%% (Natto-RECSF %.1f%%)"
 EOF
 rm -f "$rs_j1" "$rs_j4"
 
-echo "== simulator throughput bench =="
+section "simulator throughput bench"
 # Events/sec series (vs cluster size, vs --jobs) recorded into the repo-root
 # BENCH_results.json. Wall-clock fields are machine-dependent and ungated;
 # the events column is deterministic, so the gate asserts (a) the series
@@ -321,7 +348,7 @@ print("simthroughput ok: %d points, %.0f events/s at 5 partitions"
       % (len(series), parts[0]["events_per_sec"]))
 EOF
 
-echo "== full-population scale smoke =="
+section "full-population scale smoke"
 # SmallBank at its full 1M-user population with 10,000 open-loop clients
 # (2000 per DC), under the strict-serializability checker. Exercises the
 # int-keyed connection tables and flat stores at four orders of magnitude
@@ -333,4 +360,4 @@ grep -q '# check: Natto-RECSF seed 1 ok' "$scale_out"
 grep -q '^Natto-RECSF,smallbank,' "$scale_out"
 rm -f "$scale_out"
 
-echo "== OK =="
+section OK

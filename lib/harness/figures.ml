@@ -44,63 +44,61 @@ type point = {
   pt_fields : (string * float) list;
 }
 
-let points : point list ref = ref []
-let reset_points () = points := []
-let collected_points () = List.rev !points
+type results = { points : point list; messages : Trace.t option }
 
-let collect ~figure ~x_label ~x ~system fields =
-  points :=
-    { pt_figure = figure; pt_x_label = x_label; pt_x = x; pt_system = system; pt_fields = fields }
-    :: !points
+(* What a running figure writes into: its points (newest first) and, when
+   messages are counted, the invocation's totals sink. Only the main domain
+   touches it; workers count into their own per-run sinks. *)
+type ctx = {
+  name : string;
+  scale : scale;
+  traffic : Trace.t option;
+  mutable rev_points : point list;
+}
 
-(* Message totals over every figure run, kept beside the points when asked
-   for ([--trace-summary]). Set once from the main domain before any run, and
-   only read by the workers, which count into their own per-run sinks. *)
-let traffic : Trace.t option ref = ref None
+let collect c ~x_label ~x ~system fields =
+  c.rev_points <-
+    { pt_figure = c.name; pt_x_label = x_label; pt_x = x; pt_system = system; pt_fields = fields }
+    :: c.rev_points
 
-let count_messages () =
-  let t = Trace.create () in
-  Trace.enable ~events:false t;
-  traffic := Some t
-
-let message_totals () = !traffic
-
-let run ?check ?faults ?metrics setup spec ~gen ~seed =
-  Experiment.run_outcome ?check ?faults ?metrics ~counters:(!traffic <> None) setup spec ~gen
-    ~seed
+let run_cell c ?check ?faults ?metrics setup spec ~gen ~seed =
+  Experiment.run_outcome ?check ?faults ?metrics ~counters:(Option.is_some c.traffic) setup
+    spec ~gen ~seed
 
 (* One checked run per seed: the latency figures all run under the
    checker, and merging raises on a violation. *)
-let checked_runs ?faults setup spec ~gen ~seeds =
-  List.map (fun seed -> run ~check:true ?faults setup spec ~gen ~seed) seeds
+let checked_runs c ?faults setup spec ~gen =
+  List.map (fun seed -> run_cell c ~check:true ?faults setup spec ~gen ~seed) (seeds c.scale)
 
 (* The main-domain half of every figure run: fold its message counts into
    the totals; [merge] then asserts its check report and returns its
    result. *)
-let tally o =
-  match (!traffic, o.Experiment.o_trace) with
+let tally c o =
+  match (c.traffic, o.Experiment.o_trace) with
   | Some into, Some t -> Trace.absorb ~into t
   | _ -> ()
 
-let merge o =
-  tally o;
+let merge c o =
+  tally c o;
   Experiment.merge_outcome o
 
-let metered o =
-  tally o;
+let metered c o =
+  tally c o;
   Option.get o.Experiment.o_metrics
 
-let header figure caption =
-  Printf.printf "\n# %s — %s\n" figure caption;
-  Printf.printf
-    "figure,x_label,x,system,p95_high_ms,p95_high_ci,p95_low_ms,p95_low_ci,goodput_high_tps,goodput_low_tps,failed,aborts\n%!"
+let default_columns =
+  "figure,x_label,x,system,p95_high_ms,p95_high_ci,p95_low_ms,p95_low_ci,goodput_high_tps,goodput_low_tps,failed,aborts"
 
-let row figure x_label x system (s : Experiment.summary) =
-  Printf.printf "%s,%s,%s,%s,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%d,%d\n%!" figure x_label x system
+let header ?(columns = default_columns) c caption =
+  Printf.printf "\n# %s — %s\n" c.name caption;
+  Printf.printf "%s\n%!" columns
+
+let row c x_label x system (s : Experiment.summary) =
+  Printf.printf "%s,%s,%s,%s,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%d,%d\n%!" c.name x_label x system
     s.Experiment.p95_high_ms s.Experiment.p95_high_ci s.Experiment.p95_low_ms
     s.Experiment.p95_low_ci s.Experiment.goodput_high_tps s.Experiment.goodput_low_tps
     s.Experiment.failed s.Experiment.aborts;
-  collect ~figure ~x_label ~x ~system
+  collect c ~x_label ~x ~system
     [
       ("p95_high_ms", s.Experiment.p95_high_ms);
       ("p95_high_ci", s.Experiment.p95_high_ci);
@@ -122,91 +120,87 @@ let row figure x_label x system (s : Experiment.summary) =
    the collected points byte-for-byte identical to a [--jobs 1] run. *)
 let map_cells cells f = Pool.map_ordered_auto f cells
 
-let sweep ~figure ~x_label ~setup_of ~gen_of ~xs ~systems ~scale ~show =
+let sweep ~caption ~x_label ~setup_of ~gen_of ~xs ~systems ~show c =
+  header c caption;
   let cells = List.concat_map (fun x -> List.map (fun spec -> (x, spec)) systems) xs in
   let outcomes =
-    map_cells cells (fun (x, spec) ->
-        checked_runs (setup_of x) spec ~gen:(gen_of x) ~seeds:(seeds scale))
+    map_cells cells (fun (x, spec) -> checked_runs c (setup_of x) spec ~gen:(gen_of x))
   in
   List.iter2
     (fun (x, spec) outs ->
-      let summary = Experiment.summarize (List.map merge outs) in
-      row figure x_label (show x) (Experiment.spec_name spec) summary)
+      let summary = Experiment.summarize (List.map (merge c) outs) in
+      row c x_label (show x) (Experiment.spec_name spec) summary)
     cells outcomes
 
-let table1 () =
+let table1 _ =
   Printf.printf "\n# Table 1 — network roundtrip delays between datacenters (ms)\n";
   Format.printf "%a@." Netsim.Topology.pp Netsim.Topology.azure5
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: input-rate sweeps *)
 
-let fig7_ycsbt scale =
-  header "fig7ab"
-    "YCSB+T (local cluster), 95P latency vs input rate; Fig 7(b)'s x-axis is the goodput \
-     column";
+let fig7_ycsbt c =
   let gen = Workload.Ycsbt.gen () in
-  sweep ~figure:"fig7ab" ~x_label:"rate_tps"
+  sweep
+    ~caption:
+      "YCSB+T (local cluster), 95P latency vs input rate; Fig 7(b)'s x-axis is the goodput \
+       column"
+    ~x_label:"rate_tps"
     ~setup_of:(fun rate ->
-      { Experiment.default_setup with Experiment.driver = driver_config scale ~rate })
+      { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate })
     ~gen_of:(fun _ -> gen)
     ~xs:[ 50.; 150.; 250.; 350. ]
-    ~systems:Experiment.eleven_systems ~scale
-    ~show:(fun r -> string_of_float r)
+    ~systems:Experiment.eleven_systems ~show:string_of_float c
 
-let fig7_retwis scale =
-  header "fig7cd" "Retwis (Azure), 95P latency vs input rate";
+let fig7_retwis c =
   let gen = Workload.Retwis.gen () in
-  sweep ~figure:"fig7cd" ~x_label:"rate_tps"
+  sweep ~caption:"Retwis (Azure), 95P latency vs input rate" ~x_label:"rate_tps"
     ~setup_of:(fun rate ->
-      { Experiment.default_setup with Experiment.driver = driver_config scale ~rate })
+      { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate })
     ~gen_of:(fun _ -> gen)
     ~xs:[ 100.; 500.; 1000.; 1500. ]
-    ~systems:Experiment.eight_systems ~scale
-    ~show:(fun r -> string_of_float r)
+    ~systems:Experiment.eight_systems ~show:string_of_float c
 
-let fig7_smallbank scale =
-  header "fig7ef" "SmallBank (Azure), 95P latency vs input rate";
+let fig7_smallbank c =
   let gen = Workload.Smallbank.gen () in
-  sweep ~figure:"fig7ef" ~x_label:"rate_tps"
+  sweep ~caption:"SmallBank (Azure), 95P latency vs input rate" ~x_label:"rate_tps"
     ~setup_of:(fun rate ->
-      { Experiment.default_setup with Experiment.driver = driver_config scale ~rate })
+      { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate })
     ~gen_of:(fun _ -> gen)
     ~xs:[ 500.; 1000.; 1500.; 2000. ]
-    ~systems:Experiment.eight_systems ~scale
-    ~show:(fun r -> string_of_float r)
+    ~systems:Experiment.eight_systems ~show:string_of_float c
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 8: contention (Zipf coefficient) sweeps *)
 
-let fig8_ycsbt scale =
-  header "fig8a" "YCSB+T @50 txn/s, 95P high-priority latency vs Zipf coefficient";
-  sweep ~figure:"fig8a" ~x_label:"zipf"
+let fig8_ycsbt c =
+  sweep ~caption:"YCSB+T @50 txn/s, 95P high-priority latency vs Zipf coefficient"
+    ~x_label:"zipf"
     ~setup_of:(fun _ ->
-      { Experiment.default_setup with Experiment.driver = driver_config scale ~rate:50. })
+      { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate:50. })
     ~gen_of:(fun theta -> Workload.Ycsbt.gen ~theta ())
     ~xs:[ 0.65; 0.75; 0.85; 0.95 ]
-    ~systems:Experiment.eleven_systems ~scale ~show:string_of_float
+    ~systems:Experiment.eleven_systems ~show:string_of_float c
 
-let fig8_retwis scale =
-  header "fig8b" "Retwis @100 txn/s, 95P high-priority latency vs Zipf coefficient";
-  sweep ~figure:"fig8b" ~x_label:"zipf"
+let fig8_retwis c =
+  sweep ~caption:"Retwis @100 txn/s, 95P high-priority latency vs Zipf coefficient"
+    ~x_label:"zipf"
     ~setup_of:(fun _ ->
-      { Experiment.default_setup with Experiment.driver = driver_config scale ~rate:100. })
+      { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate:100. })
     ~gen_of:(fun theta -> Workload.Retwis.gen ~theta ())
     ~xs:[ 0.65; 0.75; 0.85; 0.95 ]
-    ~systems:Experiment.eight_systems ~scale ~show:string_of_float
+    ~systems:Experiment.eight_systems ~show:string_of_float c
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 9: high-priority percentage sweep *)
 
-let fig9 scale =
-  header "fig9" "YCSB+T @350 txn/s, 95P high-priority latency vs high-priority percentage";
+let fig9 c =
   let gen = Workload.Ycsbt.gen () in
-  sweep ~figure:"fig9" ~x_label:"high_pct"
+  sweep ~caption:"YCSB+T @350 txn/s, 95P high-priority latency vs high-priority percentage"
+    ~x_label:"high_pct"
     ~setup_of:(fun pct ->
       let driver =
-        { (driver_config scale ~rate:350.) with Workload.Driver.high_fraction = pct /. 100. }
+        { (driver_config c.scale ~rate:350.) with Workload.Driver.high_fraction = pct /. 100. }
       in
       { Experiment.default_setup with Experiment.driver })
     ~gen_of:(fun _ -> gen)
@@ -218,13 +212,13 @@ let fig9 scale =
         Experiment.Twopl Twopl.Preempt_on_wait;
         Experiment.Natto Natto.Features.recsf;
       ]
-    ~scale ~show:string_of_float
+    ~show:string_of_float c
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: SmallBank with sendPayment as the high-priority class *)
 
-let fig10 scale =
-  header "fig10"
+let fig10 c =
+  header c
     "SmallBank with sendPayment=high, 95P high-priority latency and its increase ratio vs \
      the 100 txn/s baseline";
   let gen = Workload.Smallbank.gen ~prioritize_send_payment:true () in
@@ -241,9 +235,9 @@ let fig10 scale =
   let outcomes =
     map_cells cells (fun (spec, rate) ->
         let setup =
-          { Experiment.default_setup with Experiment.driver = driver_config scale ~rate }
+          { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate }
         in
-        checked_runs setup spec ~gen ~seeds:(seeds scale))
+        checked_runs c setup spec ~gen)
   in
   (* The 100 txn/s baseline each ratio is computed against is the first
      rate of the system's cells, so emission walks rates in order. *)
@@ -251,15 +245,15 @@ let fig10 scale =
   List.iter2
     (fun (spec, rate) outs ->
       if rate = List.hd rates then baseline := nan;
-      let summary = Experiment.summarize (List.map merge outs) in
+      let summary = Experiment.summarize (List.map (merge c) outs) in
       if Float.is_nan !baseline then baseline := summary.Experiment.p95_high_ms;
       let increase_pct =
         100. *. (summary.Experiment.p95_high_ms -. !baseline) /. !baseline
       in
-      Printf.printf "fig10,rate_tps,%.0f,%s,%.1f,%.1f,increase_pct,%.1f\n%!" rate
+      Printf.printf "%s,rate_tps,%.0f,%s,%.1f,%.1f,increase_pct,%.1f\n%!" c.name rate
         (Experiment.spec_name spec) summary.Experiment.p95_high_ms
         summary.Experiment.p95_high_ci increase_pct;
-      collect ~figure:"fig10" ~x_label:"rate_tps" ~x:(Printf.sprintf "%.0f" rate)
+      collect c ~x_label:"rate_tps" ~x:(Printf.sprintf "%.0f" rate)
         ~system:(Experiment.spec_name spec)
         [
           ("p95_high_ms", summary.Experiment.p95_high_ms);
@@ -271,10 +265,10 @@ let fig10 scale =
 (* ------------------------------------------------------------------ *)
 (* Fig. 11 and 12: network pathologies *)
 
-let fig11 scale =
-  header "fig11" "YCSB+T @350 txn/s, 95P high-priority latency vs network delay variance";
+let fig11 c =
   let gen = Workload.Ycsbt.gen () in
-  sweep ~figure:"fig11" ~x_label:"variance_pct"
+  sweep ~caption:"YCSB+T @350 txn/s, 95P high-priority latency vs network delay variance"
+    ~x_label:"variance_pct"
     ~setup_of:(fun pct ->
       let net_config =
         {
@@ -285,16 +279,16 @@ let fig11 scale =
       {
         Experiment.default_setup with
         Experiment.net_config;
-        Experiment.driver = driver_config scale ~rate:350.;
+        Experiment.driver = driver_config c.scale ~rate:350.;
       })
     ~gen_of:(fun _ -> gen)
     ~xs:[ 0.; 5.; 15.; 25.; 40. ]
-    ~systems:Experiment.eight_systems ~scale ~show:string_of_float
+    ~systems:Experiment.eight_systems ~show:string_of_float c
 
-let fig12 scale =
-  header "fig12" "YCSB+T @100 txn/s, 95P high-priority latency vs packet loss";
+let fig12 c =
   let gen = Workload.Ycsbt.gen () in
-  sweep ~figure:"fig12" ~x_label:"loss_pct"
+  sweep ~caption:"YCSB+T @100 txn/s, 95P high-priority latency vs packet loss"
+    ~x_label:"loss_pct"
     ~setup_of:(fun pct ->
       let net_config =
         { Netsim.Network.default_config with Netsim.Network.loss = pct /. 100. }
@@ -302,33 +296,32 @@ let fig12 scale =
       {
         Experiment.default_setup with
         Experiment.net_config;
-        Experiment.driver = driver_config scale ~rate:100.;
+        Experiment.driver = driver_config c.scale ~rate:100.;
       })
     ~gen_of:(fun _ -> gen)
     ~xs:[ 0.; 0.5; 1.0; 1.5; 2.0; 2.5; 3.0 ]
-    ~systems:Experiment.eight_systems ~scale ~show:string_of_float
+    ~systems:Experiment.eight_systems ~show:string_of_float c
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 13: hybrid cloud *)
 
-let fig13 scale =
-  header "fig13" "Retwis @1000 txn/s on hybrid AWS+Azure, 95P high-priority latency";
+let fig13 c =
   let gen = Workload.Retwis.gen () in
-  sweep ~figure:"fig13" ~x_label:"deployment"
+  sweep ~caption:"Retwis @1000 txn/s on hybrid AWS+Azure, 95P high-priority latency"
+    ~x_label:"deployment"
     ~setup_of:(fun _ ->
       {
         Experiment.default_setup with
         Experiment.topo = Netsim.Topology.hybrid_aws_azure;
-        Experiment.driver = driver_config scale ~rate:1000.;
+        Experiment.driver = driver_config c.scale ~rate:1000.;
       })
-    ~gen_of:(fun _ -> gen) ~xs:[ "hybrid" ] ~systems:Experiment.eight_systems ~scale
-    ~show:Fun.id
+    ~gen_of:(fun _ -> gen) ~xs:[ "hybrid" ] ~systems:Experiment.eight_systems ~show:Fun.id c
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 14: throughput scaling on the local cluster *)
 
-let fig14 scale =
-  header "fig14"
+let fig14 c =
+  header c
     "Peak throughput (committed txn/s) vs number of partitions; uniform Retwis, 3 local DCs";
   let gen = Workload.Retwis.gen ~theta:0.0 () in
   let systems =
@@ -347,8 +340,8 @@ let fig14 scale =
   let net_config =
     { Netsim.Network.default_config with Netsim.Network.msg_cost = Sim_time.us 25 }
   in
-  let partitions = match scale with Quick -> [ 2; 4; 8; 12 ] | Full -> [ 2; 4; 6; 8; 10; 12 ] in
-  let duration = match scale with Quick -> 3. | Full -> 10. in
+  let partitions = match c.scale with Quick -> [ 2; 4; 8; 12 ] | Full -> [ 2; 4; 6; 8; 10; 12 ] in
+  let duration = match c.scale with Quick -> 3. | Full -> 10. in
   let cells =
     List.concat_map
       (fun n_partitions -> List.map (fun spec -> (n_partitions, spec)) systems)
@@ -358,14 +351,18 @@ let fig14 scale =
     map_cells cells (fun (n_partitions, spec) ->
         (* Ramp the offered load; the peak goodput is picked at merge time. *)
         let rates =
-          let factors = match scale with Quick -> [ 700.; 1400. ] | Full -> [ 500.; 1000.; 1500.; 2000.; 2500. ] in
+          let factors =
+            match c.scale with
+            | Quick -> [ 700.; 1400. ]
+            | Full -> [ 500.; 1000.; 1500.; 2000.; 2500. ]
+          in
           List.map (fun f -> f *. float_of_int n_partitions) factors
         in
         List.map
           (fun rate ->
             let driver =
               {
-                (driver_config scale ~rate) with
+                (driver_config c.scale ~rate) with
                 Workload.Driver.duration = Sim_time.seconds duration;
                 warmup = Sim_time.seconds (duration /. 4.);
                 cooldown = Sim_time.seconds (duration /. 4.);
@@ -381,7 +378,7 @@ let fig14 scale =
                 Experiment.driver;
               }
             in
-            run ~check:true setup spec ~gen ~seed:1)
+            run_cell c ~check:true setup spec ~gen ~seed:1)
           rates)
   in
   List.iter2
@@ -389,16 +386,16 @@ let fig14 scale =
       let best =
         List.fold_left
           (fun best o ->
-            let r = merge o in
+            let r = merge c o in
             let goodput =
               r.Workload.Driver.goodput_high_tps +. r.Workload.Driver.goodput_low_tps
             in
             if goodput > best then goodput else best)
           0.0 outs
       in
-      Printf.printf "fig14,partitions,%d,%s,peak_goodput_tps,%.0f\n%!" n_partitions
+      Printf.printf "%s,partitions,%d,%s,peak_goodput_tps,%.0f\n%!" c.name n_partitions
         (Experiment.spec_name spec) best;
-      collect ~figure:"fig14" ~x_label:"partitions" ~x:(string_of_int n_partitions)
+      collect c ~x_label:"partitions" ~x:(string_of_int n_partitions)
         ~system:(Experiment.spec_name spec)
         [ ("peak_goodput_tps", best) ])
     cells outcomes
@@ -406,8 +403,8 @@ let fig14 scale =
 (* ------------------------------------------------------------------ *)
 (* Ablations: design knobs the paper mentions but does not sweep. *)
 
-let ablation scale =
-  header "ablation"
+let ablation c =
+  header c
     "Natto design knobs @350 txn/s YCSB+T zipf 0.75: completion-estimate refinement, \
      starvation promotion, timestamp pad";
   let gen = Workload.Ycsbt.gen ~theta:0.75 () in
@@ -426,28 +423,26 @@ let ablation scale =
   let outcomes =
     map_cells variants (fun (_label, features) ->
         let setup =
-          { Experiment.default_setup with Experiment.driver = driver_config scale ~rate:350. }
+          { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate:350. }
         in
-        checked_runs setup (Experiment.Natto features) ~gen ~seeds:(seeds scale))
+        checked_runs c setup (Experiment.Natto features) ~gen)
   in
   List.iter2
     (fun (label, _features) outs ->
-      let summary = Experiment.summarize (List.map merge outs) in
-      row "ablation" "variant" label label summary)
+      let summary = Experiment.summarize (List.map (merge c) outs) in
+      row c "variant" label label summary)
     variants outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Failure experiments: recovery around a partition-leader crash. *)
 
-let failover scale =
-  Printf.printf
-    "\n\
-     # failover — YCSB+T @100 txn/s; partition 0's leader crashes at t=1/3 of the run and \
-     restarts at t=2/3; high-priority p95 per phase from the per-commit log\n";
-  Printf.printf
-    "figure,system,p95_high_before_ms,p95_high_during_ms,p95_high_after_ms,recovery_ratio,commits_after_heal,unfinished\n\
-     %!";
-  let dur = match scale with Quick -> 24. | Full -> 48. in
+let failover c =
+  header c
+    ~columns:
+      "figure,system,p95_high_before_ms,p95_high_during_ms,p95_high_after_ms,recovery_ratio,commits_after_heal,unfinished"
+    "YCSB+T @100 txn/s; partition 0's leader crashes at t=1/3 of the run and restarts at \
+     t=2/3; high-priority p95 per phase from the per-commit log";
+  let dur = match c.scale with Quick -> 24. | Full -> 48. in
   let crash_t = dur /. 3. and heal_t = 2. *. dur /. 3. in
   (* The recovered phase starts a little after the heal: the retry backlog
      accumulated during the outage drains within a couple of seconds, and
@@ -462,7 +457,7 @@ let failover scale =
   let gen = Workload.Ycsbt.gen () in
   let driver =
     {
-      (driver_config scale ~rate:100.) with
+      (driver_config c.scale ~rate:100.) with
       Workload.Driver.duration = Sim_time.seconds dur;
       warmup = Sim_time.seconds 1.;
       cooldown = Sim_time.seconds 1.;
@@ -485,12 +480,11 @@ let failover scale =
     ]
   in
   let outcomes =
-    map_cells systems (fun spec ->
-        checked_runs ~faults:schedule setup spec ~gen ~seeds:(seeds scale))
+    map_cells systems (fun spec -> checked_runs c ~faults:schedule setup spec ~gen)
   in
   List.iter2
     (fun spec outs ->
-      let results = List.map merge outs in
+      let results = List.map (merge c) outs in
       (* Phases are bucketed by submission time, pooled across seeds. *)
       let entries =
         List.concat_map (fun r -> Array.to_list r.Workload.Driver.commit_log) results
@@ -514,9 +508,9 @@ let failover scale =
       let unfinished =
         List.fold_left (fun acc r -> acc + r.Workload.Driver.unfinished) 0 results
       in
-      Printf.printf "failover,%s,%.1f,%.1f,%.1f,%.2f,%d,%d\n%!" (Experiment.spec_name spec)
+      Printf.printf "%s,%s,%.1f,%.1f,%.1f,%.2f,%d,%d\n%!" c.name (Experiment.spec_name spec)
         before during after (after /. before) commits_after_heal unfinished;
-      collect ~figure:"failover" ~x_label:"phase" ~x:"crash-restart"
+      collect c ~x_label:"phase" ~x:"crash-restart"
         ~system:(Experiment.spec_name spec)
         [
           ("p95_high_before_ms", before);
@@ -535,15 +529,14 @@ let failover scale =
    raises), but this one reports the history sizes and the verdicts as
    data, and covers the fault schedules the latency figures do not. *)
 
-let check_figure scale =
-  Printf.printf
-    "\n# check — strict-serializability verdicts, YCSB+T zipf 0.95 @100 txn/s per family\n";
-  Printf.printf "figure,schedule,system,committed_txns,graph_edges,violations\n%!";
+let check_figure c =
+  header c ~columns:"figure,schedule,system,committed_txns,graph_edges,violations"
+    "strict-serializability verdicts, YCSB+T zipf 0.95 @100 txn/s per family";
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
-  let dur = match scale with Quick -> 8. | Full -> 24. in
+  let dur = match c.scale with Quick -> 8. | Full -> 24. in
   let driver =
     {
-      (driver_config scale ~rate:100.) with
+      (driver_config c.scale ~rate:100.) with
       Workload.Driver.duration = Sim_time.seconds dur;
       warmup = Sim_time.seconds 1.;
       cooldown = Sim_time.seconds 1.;
@@ -581,28 +574,27 @@ let check_figure scale =
   in
   let outcomes =
     map_cells cells (fun ((_label, faults), spec) ->
-        run ?faults ~check:true setup spec ~gen ~seed:(List.hd (seeds scale)))
+        run_cell c ?faults ~check:true setup spec ~gen ~seed:(List.hd (seeds c.scale)))
   in
   List.iter2
     (fun ((label, _faults), spec) o ->
-      tally o;
+      tally c o;
       let history, report = Option.get o.Experiment.o_check in
       let n_violations = List.length report.Check.Checker.violations in
-          Printf.printf "check,%s,%s,%d,%d,%d\n%!" label (Experiment.spec_name spec)
-            report.Check.Checker.checked_txns report.Check.Checker.edges n_violations;
-          collect ~figure:"check" ~x_label:"schedule" ~x:label
-            ~system:(Experiment.spec_name spec)
-            [
-              ("committed_txns", float_of_int report.Check.Checker.checked_txns);
-              ("graph_edges", float_of_int report.Check.Checker.edges);
-              ("violations", float_of_int n_violations);
-            ];
-          if n_violations > 0 then begin
-            print_string (Check.Checker.render history report);
-            failwith
-              (Printf.sprintf "check figure: %s under schedule %s violated serializability"
-                 (Experiment.spec_name spec) label)
-          end)
+      Printf.printf "%s,%s,%s,%d,%d,%d\n%!" c.name label (Experiment.spec_name spec)
+        report.Check.Checker.checked_txns report.Check.Checker.edges n_violations;
+      collect c ~x_label:"schedule" ~x:label ~system:(Experiment.spec_name spec)
+        [
+          ("committed_txns", float_of_int report.Check.Checker.checked_txns);
+          ("graph_edges", float_of_int report.Check.Checker.edges);
+          ("violations", float_of_int n_violations);
+        ];
+      if n_violations > 0 then begin
+        print_string (Check.Checker.render history report);
+        failwith
+          (Printf.sprintf "%s figure: %s under schedule %s violated serializability" c.name
+             (Experiment.spec_name spec) label)
+      end)
     cells outcomes
 
 (* ------------------------------------------------------------------ *)
@@ -612,15 +604,16 @@ let check_figure scale =
    retry (backoff) and queue (lock_wait) segments to protect the high
    class. *)
 
-let attribution scale =
-  Printf.printf
-    "\n\
-     # attribution — commit-latency critical path, YCSB+T zipf 0.95 @100 txn/s per family\n";
-  Printf.printf
-    "attribution,system,class,n,e2e_mean_ms,e2e_p95_ms,e2e_p99_ms,wan_pct,cpu_queue_pct,lock_wait_pct,queue_wait_pct,replication_pct,batching_pct,backoff_pct,exec_pct,residual_pct\n%!";
+let attribution c =
+  header c
+    ~columns:
+      (c.name
+     ^ ",system,class,n,e2e_mean_ms,e2e_p95_ms,e2e_p99_ms,wan_pct,cpu_queue_pct,lock_wait_pct,queue_wait_pct,replication_pct,batching_pct,backoff_pct,exec_pct,residual_pct"
+      )
+    "commit-latency critical path, YCSB+T zipf 0.95 @100 txn/s per family";
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let setup =
-    { Experiment.default_setup with Experiment.driver = driver_config scale ~rate:100. }
+    { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate:100. }
   in
   let systems =
     [
@@ -635,42 +628,24 @@ let attribution scale =
   in
   let outcomes =
     map_cells systems (fun spec ->
-        run ~metrics:true setup spec ~gen ~seed:(List.hd (seeds scale)))
+        run_cell c ~metrics:true setup spec ~gen ~seed:(List.hd (seeds c.scale)))
   in
   List.iter2
     (fun spec o ->
-      let m = metered o in
+      let m = metered c o in
       let system = Experiment.spec_name spec in
-      let classes =
-        [
-          ("all", m.Experiment.m_breakdowns);
-          ("high", List.filter (fun b -> b.Metrics.Attribution.t_high) m.Experiment.m_breakdowns);
-          ("low", List.filter (fun b -> not b.Metrics.Attribution.t_high) m.Experiment.m_breakdowns);
-        ]
-      in
-      let aggs =
-        List.filter_map
-          (fun (label, bds) ->
-            Option.map (fun a -> (label, a)) (Metrics.Attribution.aggregate bds))
-          classes
-      in
+      let aggs = Metrics.Attribution.by_class m.Experiment.m_breakdowns in
       List.iter
         (fun (label, (agg : Metrics.Attribution.agg)) ->
-          let tot =
-            List.fold_left (fun acc (_, v) -> acc +. v) 0. agg.Metrics.Attribution.mean_us
-          in
-          let pct name =
-            if tot <= 0. then 0.
-            else 100. *. List.assoc name agg.Metrics.Attribution.mean_us /. tot
-          in
+          let pct = Metrics.Attribution.share_pct agg.Metrics.Attribution.mean_us in
           Printf.printf
-            "attribution,%s,%s,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f\n%!"
-            system label agg.Metrics.Attribution.n agg.Metrics.Attribution.e2e_mean_ms
+            "%s,%s,%s,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f\n%!"
+            c.name system label agg.Metrics.Attribution.n agg.Metrics.Attribution.e2e_mean_ms
             agg.Metrics.Attribution.e2e_p95_ms agg.Metrics.Attribution.e2e_p99_ms
             (pct "wan") (pct "cpu_queue") (pct "lock_wait") (pct "queue_wait")
             (pct "replication") (pct "batching") (pct "backoff") (pct "exec")
             (pct "residual");
-          collect ~figure:"attribution" ~x_label:"class" ~x:label ~system
+          collect c ~x_label:"class" ~x:label ~system
             ([
                ("n", float_of_int agg.Metrics.Attribution.n);
                ("e2e_mean_ms", agg.Metrics.Attribution.e2e_mean_ms);
@@ -701,20 +676,21 @@ let attribution scale =
    shows the batching segment appearing in the latency attribution while
    cpu_queue shrinks. *)
 
-let batchsweep scale =
-  Printf.printf
-    "\n\
-     # batchsweep — adaptive group-commit batching: goodput and p95 vs offered load, \
-     batched vs unbatched; uniform Retwis, 3 local DCs, 4 partitions\n";
-  Printf.printf
-    "batchsweep,mode,rate_tps,goodput_tps,p95_ms,p95_high_ms,envelopes,batched_msgs,msgs_per_envelope,flush_idle,flush_timer,flush_size,flush_bytes,flush_cut\n%!";
+let batchsweep c =
+  header c
+    ~columns:
+      (c.name
+     ^ ",mode,rate_tps,goodput_tps,p95_ms,p95_high_ms,envelopes,batched_msgs,msgs_per_envelope,flush_idle,flush_timer,flush_size,flush_bytes,flush_cut"
+      )
+    "adaptive group-commit batching: goodput and p95 vs offered load, batched vs unbatched; \
+     uniform Retwis, 3 local DCs, 4 partitions";
   let gen = Workload.Retwis.gen ~theta:0.0 () in
   let n_partitions = 4 in
   (* Same per-RPC station cost as fig14's local cluster. *)
   let net_config =
     { Netsim.Network.default_config with Netsim.Network.msg_cost = Sim_time.us 25 }
   in
-  let duration = match scale with Quick -> 2. | Full -> 6. in
+  let duration = match c.scale with Quick -> 2. | Full -> 6. in
   (* Per-mode ladders: both modes share the low rungs; the unbatched ladder
      stops one rung past its collapse (deep-overload cells simulate an
      ever-growing backlog and cost minutes for no information), while the
@@ -723,14 +699,14 @@ let batchsweep scale =
   let scaled fs = List.map (fun f -> f *. float_of_int n_partitions) fs in
   let rates_unbatched =
     scaled
-      (match scale with
+      (match c.scale with
       | Quick -> [ 50.; 200.; 400.; 800.; 1600. ]
       | Full -> [ 50.; 100.; 200.; 400.; 600.; 800.; 1200.; 1600. ])
   in
   let rates_batched =
     rates_unbatched
     @ scaled
-        (match scale with
+        (match c.scale with
         | Quick -> [ 2400.; 3200.; 4000.; 4800.; 5600. ]
         | Full -> [ 2000.; 2400.; 2800.; 3200.; 3600.; 4000.; 4400.; 4800.; 5200.; 5600. ])
   in
@@ -740,7 +716,7 @@ let batchsweep scale =
   let setup_of ~batching ~rate =
     let driver =
       {
-        (driver_config scale ~rate) with
+        (driver_config c.scale ~rate) with
         Workload.Driver.duration = Sim_time.seconds duration;
         warmup = Sim_time.seconds (duration /. 4.);
         cooldown = Sim_time.seconds (duration /. 4.);
@@ -766,15 +742,15 @@ let batchsweep scale =
         (* The history checker is O(committed txns); running it on the
            low-rate rungs proves batched histories stay serializable
            without dominating the sweep's cost (ci.sh gates the rest). *)
-        run ~check:(rate <= 1000.) ~metrics:(rate = attr_rate) (setup_of ~batching ~rate) spec
-          ~gen ~seed:1)
+        run_cell c ~check:(rate <= 1000.) ~metrics:(rate = attr_rate)
+          (setup_of ~batching ~rate) spec ~gen ~seed:1)
   in
   let p95 a = if Array.length a = 0 then nan else Simstats.Percentile.p95 a in
   let curves = ref [] in
   (* mode -> (rate, goodput, p95) in ladder order *)
   List.iter2
     (fun ((mode, _batching), rate) o ->
-      let r = merge o in
+      let r = merge c o in
       let goodput = r.Workload.Driver.goodput_high_tps +. r.Workload.Driver.goodput_low_tps in
       let p95_all =
         p95 (Array.append r.Workload.Driver.high_latencies_ms r.Workload.Driver.low_latencies_ms)
@@ -792,7 +768,7 @@ let batchsweep scale =
               float_of_int s.Rpc.Batcher.s_hold_us /. 1000. )
       in
       let flush name = try List.assoc name flushes with Not_found -> 0 in
-      Printf.printf "batchsweep,%s,%.0f,%.1f,%.1f,%.1f,%d,%d,%.2f,%d,%d,%d,%d,%d\n%!" mode
+      Printf.printf "%s,%s,%.0f,%.1f,%.1f,%.1f,%d,%d,%.2f,%d,%d,%d,%d,%d\n%!" c.name mode
         rate goodput p95_all p95_high envelopes batched_msgs per_env (flush "idle")
         (flush "timer") (flush "size") (flush "bytes") (flush "cut");
       (* Nonzero occupancy buckets ride along so BENCH_results.json carries
@@ -803,7 +779,7 @@ let batchsweep scale =
         |> List.filter (fun (_, c) -> c > 0)
         |> List.map (fun (n, c) -> (Printf.sprintf "occ_%d" n, float_of_int c))
       in
-      collect ~figure:"batchsweep" ~x_label:"rate_tps" ~x:(Printf.sprintf "%.0f" rate)
+      collect c ~x_label:"rate_tps" ~x:(Printf.sprintf "%.0f" rate)
         ~system:mode
         ([
            ("goodput_tps", goodput);
@@ -844,14 +820,14 @@ let batchsweep scale =
   let k_b, idle_b = knee "batched" in
   let ratio = k_b /. k_un in
   Printf.printf
-    "batchsweep,knee,unbatched,knee_goodput_tps,%.1f,idle_p95_ms,%.1f\n\
-     batchsweep,knee,batched,knee_goodput_tps,%.1f,idle_p95_ms,%.1f\n\
-     batchsweep,knee,ratio,batched_over_unbatched,%.2f\n\
+    "%s,knee,unbatched,knee_goodput_tps,%.1f,idle_p95_ms,%.1f\n\
+     %s,knee,batched,knee_goodput_tps,%.1f,idle_p95_ms,%.1f\n\
+     %s,knee,ratio,batched_over_unbatched,%.2f\n\
      %!"
-    k_un idle_un k_b idle_b ratio;
+    c.name k_un idle_un c.name k_b idle_b c.name ratio;
   List.iter
     (fun (mode, k, idle) ->
-      collect ~figure:"batchsweep" ~x_label:"knee" ~x:mode ~system:mode
+      collect c ~x_label:"knee" ~x:mode ~system:mode
         [ ("knee_goodput_tps", k); ("idle_p95_ms", idle); ("knee_ratio", ratio) ])
     [ ("unbatched", k_un, idle_un); ("batched", k_b, idle_b) ];
   (* Attribution evidence at the mid-ladder rate: the batched run's critical
@@ -865,18 +841,12 @@ let batchsweep scale =
       with
       | None -> ()
       | Some a ->
-          let tot =
-            List.fold_left (fun acc (_, v) -> acc +. v) 0. a.Metrics.Attribution.mean_us
-          in
-          let pct name =
-            if tot <= 0. then 0.
-            else 100. *. List.assoc name a.Metrics.Attribution.mean_us /. tot
-          in
+          let pct = Metrics.Attribution.share_pct a.Metrics.Attribution.mean_us in
           Printf.printf
-            "batchsweep,attribution,%s,e2e_mean_ms,%.1f,batching_pct,%.1f,replication_pct,%.1f,cpu_queue_pct,%.1f,wan_pct,%.1f\n%!"
-            mode a.Metrics.Attribution.e2e_mean_ms (pct "batching") (pct "replication")
+            "%s,attribution,%s,e2e_mean_ms,%.1f,batching_pct,%.1f,replication_pct,%.1f,cpu_queue_pct,%.1f,wan_pct,%.1f\n%!"
+            c.name mode a.Metrics.Attribution.e2e_mean_ms (pct "batching") (pct "replication")
             (pct "cpu_queue") (pct "wan");
-          collect ~figure:"batchsweep" ~x_label:"attribution" ~x:(Printf.sprintf "%.0f" attr_rate)
+          collect c ~x_label:"attribution" ~x:(Printf.sprintf "%.0f" attr_rate)
             ~system:mode
             ([ ("e2e_mean_ms", a.Metrics.Attribution.e2e_mean_ms) ]
             @ List.map
@@ -893,28 +863,27 @@ let batchsweep scale =
    is deterministic per cell and doubles as a regression lock: any
    change in event count means the simulation itself changed. *)
 
-let simthroughput scale =
-  Printf.printf
-    "\n# simthroughput — simulator events/sec (gated; wall-clock fields vary by machine)\n";
-  Printf.printf "figure,x_label,x,system,events,wall_s,events_per_sec\n%!";
+let simthroughput c =
+  header c ~columns:"figure,x_label,x,system,events,wall_s,events_per_sec"
+    "simulator events/sec (gated; wall-clock fields vary by machine)";
   let spec = Experiment.Natto Natto.Features.recsf in
   let name = Experiment.spec_name spec in
   let gen = Workload.Ycsbt.gen () in
   let cell ~x_label ~x ~jobs ~seeds setup =
     let t0 = Unix.gettimeofday () in
-    let outs = Pool.map_ordered ~jobs (fun seed -> run setup spec ~gen ~seed) seeds in
+    let outs = Pool.map_ordered ~jobs (fun seed -> run_cell c setup spec ~gen ~seed) seeds in
     let wall = Unix.gettimeofday () -. t0 in
-    List.iter tally outs;
+    List.iter (tally c) outs;
     let events = List.fold_left (fun acc o -> acc + o.Experiment.o_events) 0 outs in
     let eps = if wall > 0. then float_of_int events /. wall else 0. in
-    Printf.printf "simthroughput,%s,%s,%s,%d,%.3f,%.0f\n%!" x_label x name events wall eps;
-    collect ~figure:"simthroughput" ~x_label ~x ~system:name
+    Printf.printf "%s,%s,%s,%s,%d,%.3f,%.0f\n%!" c.name x_label x name events wall eps;
+    collect c ~x_label ~x ~system:name
       [ ("events", float_of_int events); ("wall_s", wall); ("events_per_sec", eps) ]
   in
-  let driver = driver_config scale ~rate:100. in
+  let driver = driver_config c.scale ~rate:100. in
   (* Series 1: events/sec as the cluster grows (more partitions means more
      replication groups, probe targets and messages per transaction). *)
-  let sizes = match scale with Quick -> [ 5; 10; 15 ] | Full -> [ 5; 10; 20 ] in
+  let sizes = match c.scale with Quick -> [ 5; 10; 15 ] | Full -> [ 5; 10; 20 ] in
   List.iter
     (fun n_partitions ->
       cell ~x_label:"partitions" ~x:(string_of_int n_partitions) ~jobs:1 ~seeds:[ 1 ]
@@ -932,19 +901,20 @@ let simthroughput scale =
 
 (* ------------------------------------------------------------------ *)
 (* QueCC sweep: queue-oriented deterministic planning against Natto's
-   prioritized timestamps across the contention range — the ISSUE 8
-   head-to-head. Both QueCC variants plan contention away (zero client
-   retries; the aborts column counts nothing but failover timeouts, and
-   the collected spec_aborts field counts in-epoch re-executions), so the
-   interesting comparison is the Zipf >= 0.99 tail where Natto's
-   timestamp queues thrash on retries. *)
+   prioritized timestamps across the contention range, head to head. Both
+   QueCC variants plan contention away (zero client retries; the aborts
+   column counts nothing but failover timeouts, and the collected
+   spec_aborts field counts in-epoch re-executions), so the interesting
+   comparison is the Zipf >= 0.99 tail where Natto's timestamp queues
+   thrash on retries. *)
 
-let queccsweep scale =
-  header "queccsweep"
-    "QueCC (FIFO / priority-ordered) vs Natto TS/CP/RECSF, YCSB+T @100 txn/s vs Zipf theta";
-  sweep ~figure:"queccsweep" ~x_label:"zipf"
+let queccsweep c =
+  sweep
+    ~caption:
+      "QueCC (FIFO / priority-ordered) vs Natto TS/CP/RECSF, YCSB+T @100 txn/s vs Zipf theta"
+    ~x_label:"zipf"
     ~setup_of:(fun _ ->
-      { Experiment.default_setup with Experiment.driver = driver_config scale ~rate:100. })
+      { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate:100. })
     ~gen_of:(fun theta -> Workload.Ycsbt.gen ~theta ())
     ~xs:[ 0.8; 0.95; 0.99; 1.2 ]
     ~systems:
@@ -955,8 +925,7 @@ let queccsweep scale =
         Experiment.Natto Natto.Features.cp;
         Experiment.Natto Natto.Features.recsf;
       ]
-    ~scale
-    ~show:(Printf.sprintf "%.2f")
+    ~show:(Printf.sprintf "%.2f") c
 
 (* ------------------------------------------------------------------ *)
 (* Tail blame: the causal blame profiler's cross-family ranking. Every
@@ -968,13 +937,14 @@ let queccsweep scale =
    QueCC's priority-ordered planning should both show order-of-magnitude
    less high-class inversion than the no-priority 2PL baseline. *)
 
-let tailblame scale =
-  Printf.printf
-    "\n\
-     # tailblame — class x class blocked-us matrix, inversion and hot-key concentration, \
-     YCSB+T @20 txn/s vs Zipf theta\n";
-  Printf.printf
-    "tailblame,zipf,system,n,n_high,hh_us,hl_us,hn_us,lh_us,ll_us,ln_us,wait_us,inversion_us,inv_per_high_us,hot1_share,hot8_share\n%!";
+let tailblame c =
+  header c
+    ~columns:
+      (c.name
+     ^ ",zipf,system,n,n_high,hh_us,hl_us,hn_us,lh_us,ll_us,ln_us,wait_us,inversion_us,inv_per_high_us,hot1_share,hot8_share"
+      )
+    "class x class blocked-us matrix, inversion and hot-key concentration, YCSB+T @20 txn/s \
+     vs Zipf theta";
   (* Shorter, lighter cells than the latency figures: the profiler needs
      contention, not tight percentiles, and every cell carries a full-event
      trace. The rate is kept below the 2PL collapse point because blame
@@ -982,11 +952,11 @@ let tailblame scale =
      worst-inverted high txns never commit, which undercounts precisely the
      inversion the figure exists to show. *)
   let driver =
-    match scale with
-    | Full -> driver_config scale ~rate:20.
+    match c.scale with
+    | Full -> driver_config c.scale ~rate:20.
     | Quick ->
         {
-          (driver_config scale ~rate:20.) with
+          (driver_config c.scale ~rate:20.) with
           Workload.Driver.duration = Sim_time.seconds 8.;
           warmup = Sim_time.seconds 2.;
           cooldown = Sim_time.seconds 2.;
@@ -1009,14 +979,14 @@ let tailblame scale =
   let cells = List.concat_map (fun th -> List.map (fun s -> (th, s)) systems) thetas in
   let outcomes =
     map_cells cells (fun (theta, spec) ->
-        run ~metrics:true setup spec
+        run_cell c ~metrics:true setup spec
           ~gen:(Workload.Ycsbt.gen ~theta ())
-          ~seed:(List.hd (seeds scale)))
+          ~seed:(List.hd (seeds c.scale)))
   in
   let rows =
     List.map2
       (fun (theta, spec) o ->
-        let m = metered o in
+        let m = metered c o in
         let b = m.Experiment.m_blame in
         let system = Experiment.spec_name spec in
         let cell i j = b.Metrics.Blame.b_matrix.(i).(j) in
@@ -1027,11 +997,11 @@ let tailblame scale =
         in
         let hot1 = Metrics.Blame.hot_key_share b in
         let hot8 = Metrics.Blame.hot_key_share ~k:8 b in
-        Printf.printf "tailblame,%.2f,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.1f,%.3f,%.3f\n%!"
+        Printf.printf "%s,%.2f,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.1f,%.3f,%.3f\n%!" c.name
           theta system b.Metrics.Blame.b_n b.Metrics.Blame.b_n_high (cell 0 0) (cell 0 1)
           (cell 0 2) (cell 1 0) (cell 1 1) (cell 1 2) b.Metrics.Blame.b_wait_us inv
           inv_per_high hot1 hot8;
-        collect ~figure:"tailblame" ~x_label:"zipf" ~x:(Printf.sprintf "%.2f" theta) ~system
+        collect c ~x_label:"zipf" ~x:(Printf.sprintf "%.2f" theta) ~system
           [
             ("n", float_of_int b.Metrics.Blame.b_n);
             ("n_high", float_of_int b.Metrics.Blame.b_n_high);
@@ -1058,7 +1028,7 @@ let tailblame scale =
           (fun acc (_, sys, inv, _, _, _) -> if sys = "2PL+2PC" then inv else acc)
           0 at
       in
-      Printf.printf "# tailblame ranking @ zipf %.2f (inversion us, ascending; baseline %s)\n"
+      Printf.printf "# %s ranking @ zipf %.2f (inversion us, ascending; baseline %s)\n" c.name
         theta
         (if base > 0 then Printf.sprintf "2PL+2PC=%dus" base else "2PL+2PC=0us");
       List.stable_sort
@@ -1100,22 +1070,23 @@ let tailblame scale =
    claims bought is printed "#"-prefixed so the CSV block stays
    machine-readable. *)
 
-let retrysweep scale =
-  Printf.printf
-    "\n\
-     # retrysweep — partial aborts (resume from first invalidated read) off vs on, \
-     YCSB+T @100 txn/s vs Zipf theta\n";
-  Printf.printf
-    "retrysweep,zipf,pa,system,p95_high_ms,p95_low_ms,goodput_high_tps,goodput_low_tps,aborts,partial_restarts,keys_reused,keys_validated\n%!";
+let retrysweep c =
+  header c
+    ~columns:
+      (c.name
+     ^ ",zipf,pa,system,p95_high_ms,p95_low_ms,goodput_high_tps,goodput_low_tps,aborts,partial_restarts,keys_reused,keys_validated"
+      )
+    "partial aborts (resume from first invalidated read) off vs on, YCSB+T @100 txn/s vs \
+     Zipf theta";
   let driver ~pa =
     let base =
-      match scale with
-      | Full -> driver_config scale ~rate:100.
+      match c.scale with
+      | Full -> driver_config c.scale ~rate:100.
       | Quick ->
           (* Shorter than the latency figures: the sweep needs retries and
              their reuse counters, not tight percentiles. *)
           {
-            (driver_config scale ~rate:100.) with
+            (driver_config c.scale ~rate:100.) with
             Workload.Driver.duration = Sim_time.seconds 6.;
             warmup = Sim_time.seconds 1.5;
             cooldown = Sim_time.seconds 1.5;
@@ -1137,7 +1108,7 @@ let retrysweep scale =
   (* Quick mode trims the grid to the contention endpoints + the headline
      point; full mode sweeps the paper-style ladder. *)
   let thetas =
-    match scale with Quick -> [ 0.8; 0.99; 1.2 ] | Full -> [ 0.8; 0.9; 0.99; 1.1; 1.2 ]
+    match c.scale with Quick -> [ 0.8; 0.99; 1.2 ] | Full -> [ 0.8; 0.9; 0.99; 1.1; 1.2 ]
   in
   let modes = [ false; true ] in
   let wasted_theta = 0.99 in
@@ -1151,23 +1122,23 @@ let retrysweep scale =
     map_cells cells (fun (theta, pa, spec) ->
         List.mapi
           (fun i seed ->
-            run ~check:true
+            run_cell c ~check:true
               ~metrics:(theta = wasted_theta && i = 0)
               (setup_of ~pa) spec
               ~gen:(Workload.Ycsbt.gen ~theta ())
               ~seed)
-          (seeds scale))
+          (seeds c.scale))
   in
   List.iter2
     (fun (theta, pa, spec) outs ->
-      let s = Experiment.summarize (List.map merge outs) in
+      let s = Experiment.summarize (List.map (merge c) outs) in
       let system = Experiment.spec_name spec in
-      Printf.printf "retrysweep,%.2f,%s,%s,%.1f,%.1f,%.1f,%.1f,%d,%d,%d,%d\n%!" theta
+      Printf.printf "%s,%.2f,%s,%s,%.1f,%.1f,%.1f,%.1f,%d,%d,%d,%d\n%!" c.name theta
         (if pa then "on" else "off")
         system s.Experiment.p95_high_ms s.Experiment.p95_low_ms s.Experiment.goodput_high_tps
         s.Experiment.goodput_low_tps s.Experiment.aborts s.Experiment.partial_restarts
         s.Experiment.keys_reused s.Experiment.keys_validated;
-      collect ~figure:"retrysweep" ~x_label:"zipf"
+      collect c ~x_label:"zipf"
         ~x:(Printf.sprintf "%.2f/%s" theta (if pa then "on" else "off"))
         ~system
         [
@@ -1194,9 +1165,9 @@ let retrysweep scale =
              outs)
   in
   Printf.printf
-    "# retrysweep wasted @ zipf %.2f: aborted-attempt us split (exec unchanged; \
-     reused + discarded = backoff)\n"
-    wasted_theta;
+    "# %s wasted @ zipf %.2f: aborted-attempt us split (exec unchanged; reused + discarded \
+     = backoff)\n"
+    c.name wasted_theta;
   List.iter
     (fun spec ->
       let find pa =
@@ -1217,13 +1188,13 @@ let retrysweep scale =
               /. float_of_int off.Metrics.Attribution.wk_discarded_us
           in
           Printf.printf
-            "# retrysweep wasted: %s off: txns=%d exec=%dus discarded=%dus | on: txns=%d \
-             exec=%dus reused=%dus discarded=%dus | discarded_reduction_pct=%.1f\n%!"
-            system off.Metrics.Attribution.wk_txns off.Metrics.Attribution.wk_exec_us
+            "# %s wasted: %s off: txns=%d exec=%dus discarded=%dus | on: txns=%d exec=%dus \
+             reused=%dus discarded=%dus | discarded_reduction_pct=%.1f\n%!"
+            c.name system off.Metrics.Attribution.wk_txns off.Metrics.Attribution.wk_exec_us
             off.Metrics.Attribution.wk_discarded_us on.Metrics.Attribution.wk_txns
             on.Metrics.Attribution.wk_exec_us on.Metrics.Attribution.wk_reused_us
             on.Metrics.Attribution.wk_discarded_us reduction;
-          collect ~figure:"retrysweep" ~x_label:"wasted"
+          collect c ~x_label:"wasted"
             ~x:(Printf.sprintf "%.2f" wasted_theta)
             ~system
             [
@@ -1237,56 +1208,55 @@ let retrysweep scale =
       | _ -> ())
     systems
 
-let all scale =
-  table1 ();
-  fig7_ycsbt scale;
-  fig7_retwis scale;
-  fig7_smallbank scale;
-  fig8_ycsbt scale;
-  fig8_retwis scale;
-  fig9 scale;
-  fig10 scale;
-  fig11 scale;
-  fig12 scale;
-  fig13 scale;
-  fig14 scale;
-  batchsweep scale;
-  ablation scale;
-  failover scale;
-  attribution scale;
-  check_figure scale;
-  queccsweep scale;
-  tailblame scale;
-  retrysweep scale
-
-let names =
+(* The figure table: every name the CLIs accept, in the order a full run
+   prints them. The simulator-throughput figure is opt-in (see above), so
+   it is appended after the run-everything part. *)
+let everything =
   [
-    "table1"; "fig7ab"; "fig7cd"; "fig7ef"; "fig8a"; "fig8b"; "fig9"; "fig10"; "fig11";
-    "fig12"; "fig13"; "fig14"; "batchsweep"; "ablation"; "failover"; "attribution"; "check";
-    "queccsweep"; "tailblame"; "retrysweep"; "simthroughput";
+    ("table1", table1);
+    ("fig7ab", fig7_ycsbt);
+    ("fig7cd", fig7_retwis);
+    ("fig7ef", fig7_smallbank);
+    ("fig8a", fig8_ycsbt);
+    ("fig8b", fig8_retwis);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("fig13", fig13);
+    ("fig14", fig14);
+    ("batchsweep", batchsweep);
+    ("ablation", ablation);
+    ("failover", failover);
+    ("attribution", attribution);
+    ("check", check_figure);
+    ("queccsweep", queccsweep);
+    ("tailblame", tailblame);
+    ("retrysweep", retrysweep);
   ]
 
-let run_by_name name scale =
-  match name with
-  | "table1" -> table1 (); true
-  | "fig7ab" -> fig7_ycsbt scale; true
-  | "fig7cd" -> fig7_retwis scale; true
-  | "fig7ef" -> fig7_smallbank scale; true
-  | "fig8a" -> fig8_ycsbt scale; true
-  | "fig8b" -> fig8_retwis scale; true
-  | "fig9" -> fig9 scale; true
-  | "fig10" -> fig10 scale; true
-  | "fig11" -> fig11 scale; true
-  | "fig12" -> fig12 scale; true
-  | "fig13" -> fig13 scale; true
-  | "fig14" -> fig14 scale; true
-  | "batchsweep" -> batchsweep scale; true
-  | "ablation" -> ablation scale; true
-  | "failover" -> failover scale; true
-  | "attribution" -> attribution scale; true
-  | "check" -> check_figure scale; true
-  | "queccsweep" -> queccsweep scale; true
-  | "tailblame" -> tailblame scale; true
-  | "retrysweep" -> retrysweep scale; true
-  | "simthroughput" -> simthroughput scale; true
-  | _ -> false
+let table = everything @ [ ("simthroughput", simthroughput) ]
+let names = List.map fst table
+let all = List.map fst everything
+
+let run ?(count_messages = false) ?(table = table) scale figures =
+  match List.find_opt (fun name -> not (List.mem_assoc name table)) figures with
+  | Some unknown -> Error unknown
+  | None ->
+      let traffic =
+        if count_messages then begin
+          let t = Trace.create () in
+          Trace.enable ~events:false t;
+          Some t
+        end
+        else None
+      in
+      let points =
+        List.concat_map
+          (fun name ->
+            let c = { name; scale; traffic; rev_points = [] } in
+            (List.assoc name table) c;
+            List.rev c.rev_points)
+          figures
+      in
+      Ok { points; messages = traffic }

@@ -388,6 +388,19 @@ let aggregate bds =
           tail99_us = mean_segments tail;
         }
 
+let by_class bds =
+  List.filter_map
+    (fun (label, bds) -> Option.map (fun a -> (label, a)) (aggregate bds))
+    [
+      ("all", bds);
+      ("high", List.filter (fun bd -> bd.t_high) bds);
+      ("low", List.filter (fun bd -> not bd.t_high) bds);
+    ]
+
+let share_pct parts name =
+  let tot = List.fold_left (fun acc (_, v) -> acc +. v) 0. parts in
+  if tot <= 0. then 0. else 100. *. List.assoc name parts /. tot
+
 let residual_fraction agg =
   if agg.e2e_mean_ms <= 0. then 0.
   else List.assoc "residual" agg.mean_us /. 1e3 /. agg.e2e_mean_ms
@@ -396,12 +409,8 @@ let render ~title rows =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "attribution: %s\n" title;
   let pct parts =
-    let tot = List.fold_left (fun acc (_, v) -> acc +. v) 0. parts in
     String.concat "  "
-      (List.map
-         (fun (name, v) ->
-           Printf.sprintf "%s %.1f%%" name (if tot <= 0. then 0. else 100. *. v /. tot))
-         parts)
+      (List.map (fun (name, _) -> Printf.sprintf "%s %.1f%%" name (share_pct parts name)) parts)
   in
   List.iter
     (fun (label, agg) ->

@@ -90,11 +90,8 @@ type txn_breakdown = {
           identity) — so for every class the charge sum equals the segment. *)
 }
 
-val wait_charge_sum : txn_breakdown -> int
-(** Σ [ch_us] over the [Lock_wait] and [Queue_wait] charges. *)
-
 val blame_mismatch : txn_breakdown -> int
-(** [|wait_charge_sum - (lock_wait + queue_wait)|] — 0 by construction; the
+(** [|Σ lock/queue charges - (lock_wait + queue_wait)|] — 0 by construction; the
     CI metrics smoke gates on the maximum over a run being 0. *)
 
 val analyze : trace:Trace.t -> txns:Registry.txn_rec list -> txn_breakdown list
@@ -132,6 +129,14 @@ type agg = {
 
 val aggregate : txn_breakdown list -> agg option
 (** [None] on an empty list. *)
+
+val by_class : txn_breakdown list -> (string * agg) list
+(** The ["all"], ["high"] and ["low"] priority classes, each aggregated;
+    a class with no transactions is left out. *)
+
+val share_pct : (string * float) list -> string -> float
+(** [share_pct parts name]: [name]'s part of the sum of [parts] (e.g. an
+    {!agg}'s [mean_us]), in percent; 0 when the sum is not positive. *)
 
 val render : title:string -> (string * agg) list -> string
 (** A text table: one block per labelled class (all / high / low), with

@@ -37,9 +37,6 @@ type variant = Fifo | Prio
 val name : variant -> string
 (** ["QueCC"] / ["QueCC-Prio"]. *)
 
-val default_epoch : Simcore.Sim_time.t
-(** Planner batching interval (10 ms). *)
-
 (** Deterministic batch ordering: a permutation of the batch, not a
     schedule. Exposed for the planner-determinism tests. *)
 module Plan : sig
@@ -74,10 +71,6 @@ module Chains : sig
   (** The transaction's current (key, value) write pairs; final once the
       commit frontier reaches it. *)
 
-  val writer_chain : t -> int -> (int * int) array
-  (** [(seq, attempt)] writers of a key, ascending — the executor's
-      apply-order queue for that key. *)
-
   val final_reads : t -> int -> (int * int) list
   (** [(key, writer)] observations of a transaction's reads — the last
       committed writer before it in the queue, else the base writer. Only
@@ -94,4 +87,4 @@ end
 
 val make : ?epoch:Simcore.Sim_time.t -> Txnkit.Cluster.t -> variant:variant -> Txnkit.System.t
 (** Instantiate the family on a cluster (requires Raft groups). [epoch] is
-    the planner's batching interval, {!default_epoch} by default. *)
+    the planner's batching interval, 10 ms by default. *)

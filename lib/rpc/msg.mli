@@ -99,6 +99,3 @@ val decision_bytes : writes:int -> int
 val prepare_record_bytes : reads:int -> writes:int -> int
 val write_record_bytes : writes:int -> int
 val control_bytes : int
-val probe_bytes : int
-val cache_fetch_bytes : int
-val cache_entry_bytes : int

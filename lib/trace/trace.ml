@@ -102,6 +102,54 @@ let json_float f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.6g" f
 
+type json =
+  | Null
+  | Int of int
+  | Float of float
+  | String of string
+  | List of json list
+  | Obj of (string * json) list
+
+(* Layout: a list or object holding two or more lists/objects puts each
+   member on its own line; anything else stays on one line. *)
+let json_to_string v =
+  let buf = Buffer.create 4096 in
+  let add_string s =
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (json_escape s);
+    Buffer.add_char buf '"'
+  in
+  let rec add = function
+    | Null -> Buffer.add_string buf "null"
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f -> Buffer.add_string buf (json_float f)
+    | String s -> add_string s
+    | List vs -> members '[' ']' (List.map (fun v -> (None, v)) vs)
+    | Obj kvs -> members '{' '}' (List.map (fun (k, v) -> (Some k, v)) kvs)
+  and members op cl items =
+    let nested =
+      List.length (List.filter (function _, (List _ | Obj _) -> true | _ -> false) items)
+    in
+    Buffer.add_char buf op;
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_string buf (if nested >= 2 then ",\n" else ",");
+        Option.iter
+          (fun k ->
+            add_string k;
+            Buffer.add_char buf ':')
+          k;
+        add v)
+      items;
+    Buffer.add_char buf cl
+  in
+  add v;
+  Buffer.contents buf
+
+let write_json oc v =
+  output_string oc (json_to_string v);
+  output_char oc '\n'
+
 let write_msg_event oc first (m : msg_handle) =
   if not !first then output_string oc ",\n";
   first := false;
@@ -327,6 +375,16 @@ let kind_totals t =
     t.kind_counts []
   |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare b a)
 let total_messages t = Hashtbl.fold (fun _ r acc -> acc + !r) t.kind_counts 0
+
+let print_totals t =
+  Printf.printf "\n# Message traffic by kind (all runs)\n";
+  List.iter
+    (fun (kind, n, bytes) -> Printf.printf "# %-20s %12d msgs %16d bytes\n%!" kind n bytes)
+    (kind_totals t);
+  Printf.printf "# Message traffic by DC link\n";
+  List.iter
+    (fun ((src, dst), n) -> Printf.printf "# dc%d -> dc%d %12d msgs\n%!" src dst n)
+    (link_counts t)
 let event_count t = t.n_events
 
 let other_data t extra =

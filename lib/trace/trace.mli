@@ -109,6 +109,10 @@ val absorb : into:t -> t -> unit
     are not copied. Totals over many runs are a fold of [absorb] into one
     sink. *)
 
+val print_totals : t -> unit
+(** Print {!kind_totals} and {!link_counts} on stdout as a table whose
+    every line starts with ["#"], so it can follow a CSV block. *)
+
 val total_messages : t -> int
 val event_count : t -> int
 
@@ -170,3 +174,21 @@ val json_float : float -> string
 (** A JSON number: integral values below 1e15 exactly ([1703213], not
     [1.70321e+06]), others to six significant digits, and [null] for NaN
     and infinities. *)
+
+type json =
+  | Null
+  | Int of int
+  | Float of float  (** written with {!json_float} *)
+  | String of string
+  | List of json list
+  | Obj of (string * json) list  (** members in the order given *)
+(** A JSON document as a value, for the small result files (bench results,
+    [--metrics]); the Chrome trace stays streamed. *)
+
+val json_to_string : json -> string
+(** The document's text. A list or object holding two or more lists or
+    objects puts each member on its own line; everything else is written
+    without whitespace. *)
+
+val write_json : out_channel -> json -> unit
+(** {!json_to_string} followed by a newline. *)

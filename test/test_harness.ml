@@ -84,12 +84,19 @@ let test_checked_and_metered () =
       Alcotest.(check int) "blame sums exact" 0 (Metrics.Blame.max_mismatch bds)
 
 let test_figures_dispatch () =
-  Alcotest.(check bool) "unknown rejected" false
-    (Harness.Figures.run_by_name "nope" Harness.Figures.Quick);
+  (* An unknown name is rejected before any figure runs, even after known
+     ones. *)
+  Alcotest.(check bool) "unknown rejected" true
+    (Harness.Figures.run Harness.Figures.Quick [ "table1"; "nope" ] = Error "nope");
   Alcotest.(check bool) "names include every figure" true
     (List.for_all
        (fun n -> List.mem n Harness.Figures.names)
-       [ "table1"; "fig7ab"; "fig9"; "fig12"; "fig14"; "ablation" ])
+       [ "table1"; "fig7ab"; "fig9"; "fig12"; "fig14"; "ablation"; "batchsweep"; "simthroughput" ]);
+  Alcotest.(check bool) "all = names without simthroughput" true
+    (Harness.Figures.all = List.filter (fun n -> n <> "simthroughput") Harness.Figures.names);
+  Alcotest.(check bool) "names are unique" true
+    (List.length (List.sort_uniq compare Harness.Figures.names)
+    = List.length Harness.Figures.names)
 
 let test_scale_env () =
   Alcotest.(check bool) "quick by default" true

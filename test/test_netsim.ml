@@ -204,25 +204,22 @@ let test_trace_disabled_is_free () =
   Alcotest.(check int) "no counts" 0 (Trace.total_messages trace);
   Alcotest.(check int) "no events" 0 (Trace.event_count trace)
 
-(* The typed envelope must agree with the legacy Wire sizing it replaced. *)
+(* Each envelope's size is its sizing primitive's. *)
 let test_envelope_sizes () =
   let open Rpc in
   Alcotest.(check int) "read_prepare"
-    (Txnkit.Wire.read_and_prepare_bytes ~reads:2 ~writes:3)
+    (Msg.read_and_prepare_bytes ~reads:2 ~writes:3)
     (Msg.read_prepare ~reads:2 ~writes:3 ()).Msg.bytes;
-  Alcotest.(check int) "read_reply"
-    (Txnkit.Wire.read_reply_bytes ~reads:4)
+  Alcotest.(check int) "read_reply" (Msg.read_reply_bytes ~reads:4)
     (Msg.read_reply ~reads:4 ()).Msg.bytes;
   Alcotest.(check int) "commit_request"
-    (Txnkit.Wire.commit_request_bytes ~writes:5)
+    (Msg.commit_request_bytes ~writes:5)
     (Msg.commit_request ~writes:5 ()).Msg.bytes;
-  Alcotest.(check int) "vote" Txnkit.Wire.vote_bytes (Msg.vote ()).Msg.bytes;
-  Alcotest.(check int) "decision"
-    (Txnkit.Wire.decision_bytes ~writes:2)
+  Alcotest.(check int) "vote" Msg.vote_bytes (Msg.vote ()).Msg.bytes;
+  Alcotest.(check int) "decision" (Msg.decision_bytes ~writes:2)
     (Msg.decision ~writes:2 ()).Msg.bytes;
-  Alcotest.(check int) "control" Txnkit.Wire.control_bytes
-    (Msg.control Msg.Commit_notify).Msg.bytes;
-  Alcotest.(check int) "abort decision = control size" Txnkit.Wire.control_bytes
+  Alcotest.(check int) "control" Msg.control_bytes (Msg.control Msg.Commit_notify).Msg.bytes;
+  Alcotest.(check int) "abort decision = control size" Msg.control_bytes
     (Msg.decision ~writes:0 ()).Msg.bytes;
   (* Envelope metadata rides along. *)
   let m = Msg.read_prepare ~txn:42 ~priority:1 ~reads:1 ~writes:1 () in
@@ -231,7 +228,10 @@ let test_envelope_sizes () =
 
 (* The one JSON emitter every writer shares: integral values exactly (so
    event counts compare exactly across runs), others to six significant
-   digits, non-finite values as null, strings escaped. *)
+   digits, non-finite values as null, strings escaped. Documents are values
+   written by one printer: members in the order given, keys escaped too; a
+   container holding two or more containers breaks its members onto
+   lines. *)
 let test_json_emitter () =
   Alcotest.(check string) "integral float exact" "1703213" (Trace.json_float 1703213.);
   Alcotest.(check string) "negative integral" "-42" (Trace.json_float (-42.));
@@ -240,7 +240,20 @@ let test_json_emitter () =
   Alcotest.(check string) "nan" "null" (Trace.json_float Float.nan);
   Alcotest.(check string) "infinity" "null" (Trace.json_float Float.infinity);
   Alcotest.(check string) "escapes" {|a\"b\\c\u0001d\ne|}
-    (Trace.json_escape "a\"b\\c\001d\ne")
+    (Trace.json_escape "a\"b\\c\001d\ne");
+  let open Trace in
+  Alcotest.(check string) "empty object" "{}" (json_to_string (Obj []));
+  Alcotest.(check string) "empty list" {|{"l":[],"n":0}|}
+    (json_to_string (Obj [ ("l", List []); ("n", Int 0) ]));
+  Alcotest.(check string) "key order kept, escapes" {|{"z":1,"a\"b":"c\nd","m":null}|}
+    (json_to_string (Obj [ ("z", Int 1); ("a\"b", String "c\nd"); ("m", Null) ]));
+  Alcotest.(check string) "floats" {|[3,2.5,null,-7]|}
+    (json_to_string (List [ Float 3.; Float 2.5; Float Float.nan; Int (-7) ]));
+  Alcotest.(check string) "one nested container stays inline" {|{"n":0,"xs":[1,[2]]}|}
+    (json_to_string (Obj [ ("n", Int 0); ("xs", List [ Int 1; List [ Int 2 ] ]) ]));
+  Alcotest.(check string) "two nested containers break"
+    "{\"a\":{\"b\":[1]},\n\"c\":[{},\n[]]}"
+    (json_to_string (Obj [ ("a", Obj [ ("b", List [ Int 1 ]) ]); ("c", List [ Obj []; List [] ]) ]))
 
 let () =
   Alcotest.run "netsim"

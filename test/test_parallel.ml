@@ -63,7 +63,8 @@ let test_pool_empty_and_jobs_floor () =
 (* ------------------------------------------------------------------ *)
 (* Harness determinism: --jobs 4 output == --jobs 1 output *)
 
-(* Run [f] with stdout redirected to a temp file; return what it printed. *)
+(* Run [f] with stdout redirected to a temp file; return what it printed
+   and what it returned. *)
 let capture_stdout f =
   let tmp = Filename.temp_file "natto_test_sweep" ".csv" in
   let saved = Unix.dup Unix.stdout in
@@ -71,21 +72,23 @@ let capture_stdout f =
   flush stdout;
   Unix.dup2 out Unix.stdout;
   Unix.close out;
-  Fun.protect
-    ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved)
-    f;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
   let ic = open_in_bin tmp in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove tmp;
-  s
+  (s, v)
 
-let small_sweep () =
+let small_sweep c =
   let gen = Workload.Ycsbt.gen () in
-  Harness.Figures.sweep ~figure:"testfig" ~x_label:"rate_tps"
+  Harness.Figures.sweep ~caption:"test sweep" ~x_label:"rate_tps"
     ~setup_of:(fun rate ->
       {
         Harness.Experiment.default_setup with
@@ -101,25 +104,33 @@ let small_sweep () =
     ~gen_of:(fun _ -> gen)
     ~xs:[ 50.; 100. ]
     ~systems:[ Harness.Experiment.Twopl Twopl.Plain; Harness.Experiment.Tapir ]
-    ~scale:Harness.Figures.Quick
     ~show:(fun r -> string_of_float r)
+    c
 
 let with_jobs n f =
   Harness.Pool.set_jobs (Some n);
   Fun.protect ~finally:(fun () -> Harness.Pool.set_jobs None) f
 
+(* The figure runs through the one entry point, from a one-entry table. *)
+let run_small_sweep jobs =
+  match
+    with_jobs jobs (fun () ->
+        capture_stdout (fun () ->
+            Harness.Figures.run ~table:[ ("testfig", small_sweep) ] Harness.Figures.Quick
+              [ "testfig" ]))
+  with
+  | csv, Ok r -> (csv, r.Harness.Figures.points)
+  | _, Error _ -> Alcotest.fail "testfig did not run"
+
 let test_sweep_jobs_identical () =
-  Harness.Figures.reset_points ();
-  let csv1 = with_jobs 1 (fun () -> capture_stdout small_sweep) in
-  let points1 = Harness.Figures.collected_points () in
-  Harness.Figures.reset_points ();
-  let csv4 = with_jobs 4 (fun () -> capture_stdout small_sweep) in
-  let points4 = Harness.Figures.collected_points () in
-  Harness.Figures.reset_points ();
+  let csv1, points1 = run_small_sweep 1 in
+  let csv4, points4 = run_small_sweep 4 in
   Alcotest.(check string) "CSV text byte-identical" csv1 csv4;
   Alcotest.(check bool) "CSV non-empty" true (String.length csv1 > 0);
-  Alcotest.(check int) "point count" (List.length points1) (List.length points4);
-  Alcotest.(check bool) "collected points identical" true (points1 = points4)
+  Alcotest.(check int) "point count" 4 (List.length points1);
+  Alcotest.(check bool) "collected points identical" true (points1 = points4);
+  Alcotest.(check bool) "points carry the table name" true
+    (List.for_all (fun p -> p.Harness.Figures.pt_figure = "testfig") points1)
 
 let test_seed_batch_jobs_identical () =
   let gen = Workload.Ycsbt.gen () in

@@ -130,15 +130,16 @@ let test_exec_read_values () =
   Alcotest.(check (list (triple int int int))) "values" [ (7, 70, 1); (8, 0, 0) ] values
 
 (* ------------------------------------------------------------------ *)
-(* Wire *)
+(* Wire sizes *)
 
 let test_wire_monotone () =
+  let open Rpc in
   Alcotest.(check bool) "more keys, more bytes" true
-    (Wire.read_and_prepare_bytes ~reads:6 ~writes:6 > Wire.read_and_prepare_bytes ~reads:1 ~writes:1);
+    (Msg.read_and_prepare_bytes ~reads:6 ~writes:6 > Msg.read_and_prepare_bytes ~reads:1 ~writes:1);
   Alcotest.(check bool) "reply carries values" true
-    (Wire.read_reply_bytes ~reads:3 > 3 * Wire.value_bytes);
+    (Msg.read_reply_bytes ~reads:3 > 3 * Msg.value_bytes);
   Alcotest.(check bool) "decision carries writes" true
-    (Wire.decision_bytes ~writes:4 > Wire.decision_bytes ~writes:0)
+    (Msg.decision_bytes ~writes:4 > Msg.decision_bytes ~writes:0)
 
 let () =
   Alcotest.run "txnkit"
