@@ -183,8 +183,9 @@ section "golden matrix"
 # Default-off mechanisms must not move a byte. Each block of the matrix is
 # one natto_sim configuration and its expected stdout: batching off
 # (fault-free and under a leader failover), blame plumbing with neither
-# --metrics nor --trace (all thirteen systems), and partial aborts off at
-# the retry sweep's most contended point ('#' lines compared too).
+# --metrics nor --trace (all thirteen systems), partial aborts off at the
+# retry sweep's most contended point, and partial aborts on, checked,
+# fault-free and through a leader crash + DC cut ('#' lines compared too).
 gold_dir="$(mktemp -d)"
 awk -v dir="$gold_dir" '
   /^@@ / { n++; f = sprintf("%s/%03d", dir, n); print substr($0, 4) >(f ".key"); next }
@@ -277,24 +278,22 @@ grep -q '# check: .* ok' "$bat_j1"
 rm -f "$bat_j1" "$bat_j4"
 
 section "partial-abort gates"
-# Off is the default (the golden matrix pins it). On: resumed retries
-# must stay strictly serializable (the claimed serve reconstructs exactly
-# what a full serve returns, so histories are unchanged by construction)
-# and actually resume — every optimistic family shows nonzero
-# partial_restarts at Zipf 0.99.
+# Both settings are pinned byte for byte by the golden matrix, which runs
+# the checked pa-on configurations fault-free and through the leader-crash
+# + DC-cut schedule (a checker violation fails that section). Here, on the
+# committed fault-free block: resumed retries stay strictly serializable
+# (the claimed serve reconstructs exactly what a full serve returns) and
+# actually resume — every optimistic family shows nonzero partial_restarts
+# at Zipf 0.99.
 pa_on="${TMPDIR:-/tmp}/natto_ci_pa_on.csv"
-dune exec bin/natto_sim.exe -- -s 2pl,tapir,carousel-basic,carousel-fast,natto-ts,natto-recsf \
-  -d 4 --seeds 1 -r 80 -z 0.99 --partial-abort --check >"$pa_on"
+pa_key="@@ all -s 2pl,tapir,carousel-basic,carousel-fast,natto-ts,natto-recsf -d 4 --seeds 1"
+pa_key="$pa_key -r 80 -z 0.99 --partial-abort --check"
+awk -v key="$pa_key" '/^@@ / { on = ($0 == key); next } on' test/golden/natto_sim.golden >"$pa_on"
 grep -q '# check: Natto-RECSF seed 1 ok' "$pa_on"
 for sys in 2PL+2PC TAPIR 'Carousel Basic' 'Carousel Fast' Natto-TS Natto-RECSF; do
   grep -q "# wasted: $sys .* partial_restarts=[1-9]" "$pa_on"
 done
 rm -f "$pa_on"
-# ... and through the leader-crash + DC-cut schedule (late aborts report
-# an unknown conflict and claim nothing; ghost reports are attempt-guarded).
-dune exec bin/natto_sim.exe -- -s 2pl,tapir,carousel-basic,carousel-fast,natto-recsf \
-  -d 8 --seeds 1 -r 50 -z 0.95 --partial-abort \
-  --faults 'crash-leader:0@2s,cut:0-1@3s,heal@5s,restart@6s' --check >/dev/null
 
 section "retrysweep figure gate"
 # The partial-abort figure must be byte-identical at any --jobs, and its

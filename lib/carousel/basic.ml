@@ -19,7 +19,7 @@ type coord = {
 
 type client_attempt = {
   txn : Txn.t;
-  plan : Txnkit.Exec.plan;
+  plan : Exec.plan;
   mutable pending : int;
   mutable failed : bool;
   mutable replies : (int * int * int) list list;
@@ -67,11 +67,7 @@ let make (cluster : Cluster.t) : System.t =
     Raft.Group.replicate cluster.Cluster.groups.(server.partition) ~background:true
       ~size:bytes ~tag:txn_id
       ~on_committed:(fun () ->
-        List.iter
-          (fun (key, data) ->
-            Store.Kv.put server.kv ~key ~data ~writer:txn_id;
-            Check.Recorder.applied recorder ~txn:txn_id ~key)
-          pairs;
+        Exec.install recorder server.kv ~txn:txn_id pairs;
         Store.Occ.release server.occ ~txn:txn_id)
       ()
   in
@@ -81,15 +77,14 @@ let make (cluster : Cluster.t) : System.t =
   let decide_commit ~txn_id ~(txn : Txn.t) c =
     c.decided <- true;
     let pairs = Option.value ~default:[] c.commit_pairs in
-    if Check.Recorder.enabled recorder then
-      Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+    Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
     let me = coord_node ~client:c.client in
     (* Notify the client, then distribute write data asynchronously. *)
     send ~src:me ~dst:c.client ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify) (fun () -> ());
     List.iter
       (fun p ->
         let server = servers.(p) in
-        let local = Txnkit.Exec.pairs_on_partition cluster ~partition:p pairs in
+        let local = Exec.pairs_on_partition cluster ~partition:p pairs in
         send ~src:me ~dst:server.node
           ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
           (fun () -> apply_commit server txn_id local))
@@ -115,27 +110,17 @@ let make (cluster : Cluster.t) : System.t =
   (* --- client side --- *)
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
-    let plan = Txnkit.Exec.plan_of cluster txn in
-    let n = List.length plan.Txnkit.Exec.participants in
+    let plan = Exec.plan_of cluster txn in
+    let n = List.length plan.Exec.participants in
     let attempt = { txn; plan; pending = n; failed = false; replies = [] } in
     let client = txn.Txn.client in
     (* Re-resolve the partition leaders per attempt, so retries after a
        leader crash land on the newly elected node. *)
-    Failover.refresh_leaders cluster ~participants:plan.Txnkit.Exec.participants
+    Failover.refresh_leaders cluster ~participants:plan.Exec.participants
       ~set:(fun p node -> servers.(p).node <- node);
     let coordinator = coord_node ~client in
     let finished = ref false in
-    let trace = Netsim.Network.trace net in
-    let finish ~committed =
-      if not !finished then begin
-        finished := true;
-        if Trace.recording trace then
-          Trace.instant trace ~tid:client ~txn:txn_id
-            ~name:(if committed then "txn-commit" else "txn-abort")
-            ~at:(Simcore.Engine.now cluster.Cluster.engine) ();
-        on_done ~committed
-      end
-    in
+    let finish = Failover.finish cluster ~client ~txn:txn_id ~finished ~on_done in
     (* Client-side commit notification: the coordinator replies over the
        network; latency to the client is the intra-DC hop. *)
     let notify_client_commit () =
@@ -179,7 +164,7 @@ let make (cluster : Cluster.t) : System.t =
           let server = servers.(p) in
           send ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
             (fun () -> abort_at_participant server txn_id))
-        plan.Txnkit.Exec.participants;
+        plan.Exec.participants;
       send ~src:client ~dst:coordinator
         ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
         on_abort_notice;
@@ -188,8 +173,7 @@ let make (cluster : Cluster.t) : System.t =
     let round_one_complete () =
       if attempt.failed then abort_attempt ()
       else begin
-        let reads = Txnkit.Exec.assemble_reads txn attempt.replies in
-        let pairs = Txnkit.Exec.write_pairs txn reads in
+        let pairs = Exec.writes_from_replies txn attempt.replies in
         send ~src:client ~dst:coordinator
           ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
           (fun () -> on_commit_request pairs)
@@ -204,15 +188,15 @@ let make (cluster : Cluster.t) : System.t =
     List.iter
       (fun p ->
         let server = servers.(p) in
-        let reads = plan.Txnkit.Exec.reads_of p and writes = plan.Txnkit.Exec.writes_of p in
+        let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
         (* Partial-abort claims for this partition: validated-prefix keys ride
            on the request; version-confirmed ones are dropped from the reply. *)
-        let claims = Txnkit.Exec.claims_of txn reads in
+        let claims = Exec.claims_of txn reads in
         send ~src:client ~dst:server.node
           ~msg:
             (Msg.read_prepare ~txn:txn_id ~reads:(Array.length reads)
                ~writes:(Array.length writes)
-               ~extra:(Txnkit.Exec.claim_extra_bytes claims) ())
+               ~extra:(Exec.claim_extra_bytes claims) ())
           (fun () ->
             (* The first conflicting key rides back on the abort notice so a
                partial-abort retry knows where its validated prefix broke. *)
@@ -224,11 +208,11 @@ let make (cluster : Cluster.t) : System.t =
                  prefix: this server never served the victim, so the retry's
                  claims come from here. *)
               let key = Option.value fail_key ~default:(-1) in
-              let salvage = Txnkit.Exec.salvage_reads server.kv txn ~reads ~fail_key:key in
+              let salvage = Exec.salvage_reads server.kv txn ~reads ~fail_key:key in
               send ~src:server.node ~dst:client
                 ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(List.length salvage) ())
                 (fun () ->
-                  Txnkit.Exec.note_reads txn salvage;
+                  Exec.note_reads txn salvage;
                   (match fail_key with
                   | Some key -> Txn.pa_note_fail txn ~attempt:txn_id ~key
                   | None -> ());
@@ -238,20 +222,12 @@ let make (cluster : Cluster.t) : System.t =
             end
             else begin
               Store.Occ.prepare server.occ ~txn:txn_id ~reads ~writes;
-              if Check.Recorder.enabled recorder then
-                Check.Recorder.reads_from_kv recorder ~txn:txn_id server.kv reads;
-              let served =
-                Txnkit.Exec.serve_keys server.kv reads
-                  ~claims:(Txnkit.Exec.claim_versions claims)
-              in
-              let values = Txnkit.Exec.read_values server.kv served in
+              Check.Recorder.reads_from_kv recorder ~txn:txn_id server.kv reads;
+              let served = Exec.serve server.kv reads claims in
               send ~src:server.node ~dst:client
-                ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Array.length served) ())
+                ~msg:(Msg.read_reply ~txn:txn_id ~reads:(List.length served) ())
                 (fun () ->
-                  Txnkit.Exec.note_validated txn ~attempt:txn_id ~served:values ~claims;
-                  let values = Txnkit.Exec.merge_claims ~served:values ~claims in
-                  Txnkit.Exec.note_reads txn values;
-                  on_read_reply ~ok:true values);
+                  on_read_reply ~ok:true (Exec.absorb txn ~attempt:txn_id claims served));
               (* Replicate the prepare record, then vote. *)
               Raft.Group.replicate cluster.Cluster.groups.(p)
                 ~size:
@@ -263,7 +239,7 @@ let make (cluster : Cluster.t) : System.t =
                     (fun () -> on_vote ~ok:true))
                 ()
             end))
-      plan.Txnkit.Exec.participants;
+      plan.Exec.participants;
     (* Failover watchdog: with a dead leader (or coordinator) in the path
        this attempt would otherwise hang forever. Armed only under fault
        injection. *)

@@ -13,7 +13,7 @@ type reply = {
   partition : int;
   from_leader : bool;
   ok : bool;
-  values : (int * int * int) list;  (** key, data, version *)
+  values : (int * int * int) list;  (** key, data, version; [[]] from followers *)
 }
 
 let make (cluster : Cluster.t) : System.t =
@@ -40,8 +40,8 @@ let make (cluster : Cluster.t) : System.t =
   let down_seen : (int, unit) Hashtbl.t = Hashtbl.create 7 in
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
-    let plan = Txnkit.Exec.plan_of cluster txn in
-    let participants = plan.Txnkit.Exec.participants in
+    let plan = Exec.plan_of cluster txn in
+    let participants = plan.Exec.participants in
     let client = txn.Txn.client in
     let failover = Cluster.failover_active cluster in
     let coordinator = Cluster.coordinator_for cluster ~client in
@@ -91,17 +91,7 @@ let make (cluster : Cluster.t) : System.t =
     let pending = ref total_replies in
     let replies : reply list ref = ref [] in
     let finished = ref false in
-    let trace = Netsim.Network.trace net in
-    let finish ~committed =
-      if not !finished then begin
-        finished := true;
-        if Trace.recording trace then
-          Trace.instant trace ~tid:client ~txn:txn_id
-            ~name:(if committed then "txn-commit" else "txn-abort")
-            ~at:(Simcore.Engine.now cluster.Cluster.engine) ();
-        on_done ~committed
-      end
-    in
+    let finish = Failover.finish cluster ~client ~txn:txn_id ~finished ~on_done in
     let release_everywhere () =
       (* Straight from the client, so a retry's read-and-prepare (sent on
          the same connections, after these) finds the prepares released. *)
@@ -123,25 +113,20 @@ let make (cluster : Cluster.t) : System.t =
           let write_replicated = ref false and votes_ok = ref false in
           let try_finish () =
             if !write_replicated && !votes_ok then begin
-              if Check.Recorder.enabled recorder then
-                Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+              Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
               if not already_committed then
                 send ~src:coordinator ~dst:client
                   ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
                   (fun () -> finish ~committed:true);
               List.iter
                 (fun p ->
-                  let local = Txnkit.Exec.pairs_on_partition cluster ~partition:p pairs in
+                  let local = Exec.pairs_on_partition cluster ~partition:p pairs in
                   Array.iter
                     (fun r ->
                       send ~src:coordinator ~dst:r.node
                         ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
                         (fun () ->
-                          List.iter
-                            (fun (key, data) ->
-                              Store.Kv.put r.kv ~key ~data ~writer:txn_id;
-                              Check.Recorder.applied recorder ~txn:txn_id ~key)
-                            local;
+                          Exec.install recorder r.kv ~txn:txn_id local;
                           Store.Occ.release r.occ ~txn:txn_id))
                     replicas.(p))
                 participants
@@ -181,11 +166,10 @@ let make (cluster : Cluster.t) : System.t =
         finish ~committed:false
       end
       else begin
-        let reads =
-          Txnkit.Exec.assemble_reads txn
+        let pairs =
+          Exec.writes_from_replies txn
             (List.filter_map (fun r -> if r.from_leader then Some r.values else None) !replies)
         in
-        let pairs = Txnkit.Exec.write_pairs txn reads in
         (* The fast path needs the prepare durable at the FULL membership of
            every participant — a down replica forces the slow path. *)
         let unanimous =
@@ -195,8 +179,7 @@ let make (cluster : Cluster.t) : System.t =
           (* Fast path: the prepare is durable at every replica of every
              participant, so the transaction commits in one WAN round trip
              (paper §5.2.1). Write data distribution is asynchronous. *)
-          if Check.Recorder.enabled recorder then
-            Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+          Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
           finish ~committed:true;
           commit_via_coordinator ~pairs ~already_committed:true ~after_durable:(fun k -> k ())
         end
@@ -209,8 +192,8 @@ let make (cluster : Cluster.t) : System.t =
               List.iter
                 (fun p ->
                   let leader = leader_replica p in
-                  let reads_p = plan.Txnkit.Exec.reads_of p
-                  and writes_p = plan.Txnkit.Exec.writes_of p in
+                  let reads_p = plan.Exec.reads_of p
+                  and writes_p = plan.Exec.writes_of p in
                   send ~src:coordinator ~dst:leader.node
                     ~msg:(Msg.control ~txn:txn_id Msg.Control)
                     (fun () ->
@@ -238,12 +221,12 @@ let make (cluster : Cluster.t) : System.t =
     in
     List.iter
       (fun p ->
-        let reads = plan.Txnkit.Exec.reads_of p and writes = plan.Txnkit.Exec.writes_of p in
+        let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
         (* The same partial-abort claims go to every replica of the
            partition; each validates them against its own store, so a
            follower lagging on async write distribution simply serves the
            key fresh instead of honoring the claim. *)
-        let claims = Txnkit.Exec.claims_of txn reads in
+        let claims = Exec.claims_of txn reads in
         let leader_node = List.assoc p current_leader in
         Array.iter
           (fun r ->
@@ -253,7 +236,7 @@ let make (cluster : Cluster.t) : System.t =
                 ~msg:
                   (Msg.read_prepare ~txn:txn_id ~reads:(Array.length reads)
                      ~writes:(Array.length writes)
-                     ~extra:(Txnkit.Exec.claim_extra_bytes claims) ())
+                     ~extra:(Exec.claim_extra_bytes claims) ())
                 (fun () ->
                   let fail_key =
                     Store.Occ.principal_conflict_key r.occ ~reads ~writes ~excluding:txn_id
@@ -266,14 +249,14 @@ let make (cluster : Cluster.t) : System.t =
                        full slice: this reply doubles as the vote, so the
                        bytes are already on the wire path). *)
                     let salvage =
-                      if from_leader then Txnkit.Exec.salvage_all r.kv txn ~reads
+                      if from_leader then Exec.salvage_all r.kv txn ~reads
                       else []
                     in
                     send ~src:r.node ~dst:client
                       ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(List.length salvage) ())
                       (fun () ->
                         (if from_leader then begin
-                           Txnkit.Exec.note_reads txn salvage;
+                           Exec.note_reads txn salvage;
                            match fail_key with
                            | Some key -> Txn.pa_note_fail txn ~attempt:txn_id ~key
                            | None -> ()
@@ -283,26 +266,22 @@ let make (cluster : Cluster.t) : System.t =
                   else begin
                     Store.Occ.prepare r.occ ~txn:txn_id ~reads ~writes;
                     (* Only the leader's values feed the write computation;
-                       follower replies merely vote on the fast path. *)
-                    if from_leader && Check.Recorder.enabled recorder then
+                       follower replies merely vote on the fast path, so
+                       only the leader's reply is credited and cached. *)
+                    if from_leader then
                       Check.Recorder.reads_from_kv recorder ~txn:txn_id r.kv reads;
-                    let served =
-                      Txnkit.Exec.serve_keys r.kv reads
-                        ~claims:(Txnkit.Exec.claim_versions claims)
-                    in
-                    let values = Txnkit.Exec.read_values r.kv served in
+                    let served = Exec.serve r.kv reads claims in
                     send ~src:r.node ~dst:client
-                      ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Array.length served) ())
+                      ~msg:(Msg.read_reply ~txn:txn_id ~reads:(List.length served) ())
                       (fun () ->
-                        if from_leader then
-                          Txnkit.Exec.note_validated txn ~attempt:txn_id ~served:values
-                            ~claims;
-                        let values = Txnkit.Exec.merge_claims ~served:values ~claims in
-                        if from_leader then Txnkit.Exec.note_reads txn values;
+                        let values =
+                          if from_leader then Exec.absorb txn ~attempt:txn_id claims served
+                          else []
+                        in
                         on_reply { partition = p; from_leader; ok = true; values })
                   end))
           replicas.(p))
-      plan.Txnkit.Exec.participants;
+      plan.Exec.participants;
     (* Failover watchdog: bound an attempt stalled on replies (or a 2PC
        round) that will never arrive because a node died mid-flight. *)
     Failover.arm_watchdog cluster ~finished ~on_timeout:(fun () ->

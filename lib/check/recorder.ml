@@ -29,7 +29,6 @@ let create () =
     slotted = Hashtbl.create 256;
   }
 let enable t = t.on <- true
-let enabled t = t.on
 
 let pending t txn =
   match Hashtbl.find_opt t.pend txn with

@@ -1,5 +1,6 @@
 (** Flag-gated history recording (same discipline as [Trace]: created
-    disabled, one branch per call site until enabled, and recording is pure
+    disabled, every call a single branch until enabled — so call sites need
+    no guard of their own — and recording is pure
     observation — it schedules no events, sends no messages and draws no
     randomness, so enabling it cannot change a run's results).
 
@@ -33,7 +34,6 @@ val create : unit -> t
 (** Disabled; every emission call is a single branch until {!enable}. *)
 
 val enable : t -> unit
-val enabled : t -> bool
 
 val start : t -> txn:int -> at:Simcore.Sim_time.t -> unit
 

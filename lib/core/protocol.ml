@@ -45,9 +45,9 @@ type srec = {
   arrivals : (int * int) list;  (** leader node -> estimated arrival (client clock) *)
   participants : int list;
   coord_node : int;
-  claims : (int * int) list;
-      (** partial-abort claims for this partition: (key, version) pairs the
-          client asserts are still current; honored on the normal and
+  claims : Exec.claims;
+      (** partial-abort claims for this partition: the (key, version) pairs
+          the client asserts are still current; honored on the normal and
           conditional serve paths, ignored by RECSF forwarding *)
   deliver_read : source -> (int * int * int) list -> unit;
       (** runs at the requesting client on message delivery *)
@@ -204,11 +204,8 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
         end
   in
   (* History recording for the serializability checker: pure observation,
-     one branch per site when disabled (like [mark]). *)
+     one branch per call when disabled (like [mark]). *)
   let recorder = cluster.Cluster.recorder in
-  let record_reads ~txn kv keys =
-    if Check.Recorder.enabled recorder then Check.Recorder.reads_from_kv recorder ~txn kv keys
-  in
   let servers =
     Array.init cluster.Cluster.n_partitions (fun p ->
         {
@@ -282,8 +279,7 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
     c.decided <- true;
     c.committed <- true;
     mark ~tid:c.c_node ~txn:c.c_txn_id "txn-commit";
-    if Check.Recorder.enabled recorder then
-      Check.Recorder.write_set recorder ~txn:c.c_txn_id ~pairs:c.gen_pairs;
+    Check.Recorder.write_set recorder ~txn:c.c_txn_id ~pairs:c.gen_pairs;
     send ~src:c.c_node ~dst:c.c_client
       ~msg:(Msg.control ~txn:c.c_txn_id Msg.Commit_notify)
       (fun () ->
@@ -467,15 +463,14 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
     Store.Occ.prepare server.occ ~txn:r.txn_id ~reads:r.reads ~writes:r.writes;
     r.state <- Prepared;
     mark ~tid:server.node ~txn:r.txn_id "txn-prepare";
-    record_reads ~txn:r.txn_id server.kv r.reads;
+    Check.Recorder.reads_from_kv recorder ~txn:r.txn_id server.kv r.reads;
     (* Honor partial-abort claims: version-confirmed keys drop out of the
        reply payload. The history above still covers the full slice, so the
        checker sees identical reads either way. *)
-    let served = Exec.serve_keys server.kv r.reads ~claims:r.claims in
-    let values = Exec.read_values server.kv served in
+    let served = Exec.serve server.kv r.reads r.claims in
     send ~src:server.node ~dst:r.txn.Txn.client
-      ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Array.length served) ())
-      (fun () -> r.deliver_read S_normal values);
+      ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(List.length served) ())
+      (fun () -> r.deliver_read S_normal served);
     Raft.Group.replicate cluster.Cluster.groups.(server.partition)
       ~size:(Msg.prepare_record_bytes ~reads:(Array.length r.reads) ~writes:(Array.length r.writes))
       ~tag:r.txn_id
@@ -490,12 +485,11 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
     r.cond_on <- Some blocker;
     let watchers = Option.value ~default:[] (Hashtbl.find_opt server.cond_watchers blocker) in
     Hashtbl.replace server.cond_watchers blocker (r.txn_id :: watchers);
-    record_reads ~txn:r.txn_id server.kv r.reads;
-    let served = Exec.serve_keys server.kv r.reads ~claims:r.claims in
-    let values = Exec.read_values server.kv served in
+    Check.Recorder.reads_from_kv recorder ~txn:r.txn_id server.kv r.reads;
+    let served = Exec.serve server.kv r.reads r.claims in
     send ~src:server.node ~dst:r.txn.Txn.client
-      ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Array.length served) ())
-      (fun () -> r.deliver_read (S_cond blocker) values);
+      ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(List.length served) ())
+      (fun () -> r.deliver_read (S_cond blocker) served);
     Raft.Group.replicate cluster.Cluster.groups.(server.partition)
       ~size:(Msg.prepare_record_bytes ~reads:(Array.length r.reads) ~writes:(Array.length r.writes))
       ~tag:r.txn_id
@@ -521,7 +515,7 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
     r.fwd_keys <- fwd_keys;
     let blocker_id = blocker.txn_id in
     if Array.length local_keys > 0 || Array.length fwd_keys = 0 then begin
-      record_reads ~txn:r.txn_id server.kv local_keys;
+      Check.Recorder.reads_from_kv recorder ~txn:r.txn_id server.kv local_keys;
       let values = Exec.read_values server.kv local_keys in
       send ~src:server.node ~dst:r.txn.Txn.client
         ~msg:(Msg.recsf_reply ~txn:r.txn_id ~reads:(Array.length local_keys) ())
@@ -533,12 +527,10 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
         (* A speculative read of the blocker's not-yet-applied write: the
            observed writer is the blocker itself. Weak, so an authoritative
            re-served read wins whatever order the replies land in. *)
-        if Check.Recorder.enabled recorder then
-          List.iter
-            (fun (key, _, _) ->
-              Check.Recorder.read ~weak:true recorder ~txn:r.txn_id ~key
-                ~writer:blocker_id)
-            values;
+        List.iter
+          (fun (key, _, _) ->
+            Check.Recorder.read ~weak:true recorder ~txn:r.txn_id ~key ~writer:blocker_id)
+          values;
         r.deliver_read (S_recsf blocker_id) values
       in
       send ~src:server.node ~dst:blocker.coord_node
@@ -728,11 +720,7 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
     | None -> ()
     | Some r ->
         let finish () =
-          List.iter
-            (fun (key, data) ->
-              Store.Kv.put server.kv ~key ~data ~writer:txn_id;
-              Check.Recorder.applied recorder ~txn:txn_id ~key)
-            pairs;
+          Exec.install recorder server.kv ~txn:txn_id pairs;
           server_drop server r;
           server_notify_cond_watchers server ~blocker:txn_id ~aborted:false;
           server_rescan server;
@@ -940,10 +928,8 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
     let leaders = List.map (fun p -> servers.(p).node) participants in
     let ts, arrivals = Estimate.timestamps cluster features ~client ~leaders in
     let coordinator = Cluster.coordinator_for cluster ~client in
-    (* Per-partition partial-abort claims, as (key, data, version) triples;
-       empty with the cache off or nothing validated. The (key, version)
-       projection rides to the server, the full triples fill in the values
-       the server omits from its reply. *)
+    (* Per-partition partial-abort claims; empty with the cache off or
+       nothing validated. *)
     let part_claims =
       List.map (fun p -> (p, Exec.claims_of txn (plan.Exec.reads_of p))) participants
     in
@@ -969,9 +955,10 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
       sent_gen := gen;
       must_resend := false;
       used := List.map (fun p -> (p, Option.get (Hashtbl.find slots p).src)) participants;
-      let per_partition = List.map (fun p -> (Hashtbl.find slots p).got) participants in
-      let reads = Exec.assemble_reads txn per_partition in
-      let pairs = Exec.write_pairs txn reads in
+      let pairs =
+        Exec.writes_from_replies txn
+          (List.map (fun p -> (Hashtbl.find slots p).got) participants)
+      in
       let sources = !used in
       send ~src:client ~dst:coordinator
         ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
@@ -999,24 +986,19 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
         (match (src, s.src) with
         | S_normal, prev ->
             (* Credit validated claims once per slot: the re-serve after a
-               failed condition honors the same claims again. *)
-            if prev = None then
-              Exec.note_validated txn ~attempt:txn_id ~served:values ~claims:(claims_for p);
-            let values = Exec.merge_claims ~served:values ~claims:(claims_for p) in
-            Exec.note_reads txn values;
+               failed condition honors the same claims again, so it is
+               absorbed under attempt -1, which is never live. *)
+            let attempt = if prev = None then txn_id else -1 in
             s.src <- Some S_normal;
-            s.got <- values;
+            s.got <- Exec.absorb txn ~attempt (claims_for p) values;
             (* A normal read arriving for a slot we used conditionally means
                the condition failed: re-execute (§3.3.2). *)
             (match (prev, List.assoc_opt p !used) with
             | Some (S_cond _), Some (S_cond _) when !sent_gen > 0 -> must_resend := true
             | _ -> ())
         | S_cond _, None ->
-            Exec.note_validated txn ~attempt:txn_id ~served:values ~claims:(claims_for p);
-            let values = Exec.merge_claims ~served:values ~claims:(claims_for p) in
-            Exec.note_reads txn values;
             s.src <- Some src;
-            s.got <- values
+            s.got <- Exec.absorb txn ~attempt:txn_id (claims_for p) values
         | S_recsf _, None ->
             (* RECSF serves its local slice in full (claims are not honored
                on that path), so nothing to merge; forwarded triples carry
@@ -1070,7 +1052,7 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
         let keys =
           Array.of_list (List.sort_uniq compare (Array.to_list reads @ Array.to_list writes))
         in
-        let claims = Exec.claim_versions (claims_for p) in
+        let claims = claims_for p in
         let r : srec =
           {
             txn;
@@ -1097,7 +1079,7 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
           ~msg:
             (Msg.read_prepare ~txn:txn_id
                ~priority:(match txn.Txn.priority with Txn.High -> 1 | Txn.Low -> 0)
-               ~extra:(12 * List.length participants + Exec.claim_extra_bytes (claims_for p))
+               ~extra:(12 * List.length participants + Exec.claim_extra_bytes claims)
                ~reads:(Array.length reads) ~writes:(Array.length writes) ())
           (fun () -> server_on_read_and_prepare server r))
       participants;

@@ -69,24 +69,22 @@ let make (cluster : Cluster.t) : System.t =
             replicas.(p))
         participants;
     let finished = ref false in
-    let trace = Netsim.Network.trace net in
-    let finish ~committed =
-      if not !finished then begin
-        finished := true;
-        if Trace.recording trace then
-          Trace.instant trace ~tid:client ~txn:txn_id
-            ~name:(if committed then "txn-commit" else "txn-abort")
-            ~at:(Simcore.Engine.now cluster.Cluster.engine) ();
-        on_done ~committed
-      end
+    let finish = Failover.finish cluster ~client ~txn:txn_id ~finished ~on_done in
+    let release_everywhere () =
+      List.iter
+        (fun p ->
+          Array.iter
+            (fun r ->
+              send ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
+                (fun () -> Store.Occ.release r.occ ~txn:txn_id))
+            replicas.(p))
+        participants
     in
     (* ---- round 1: read from the nearest replica of each partition ---- *)
     let reads_pending = ref (List.length participants) in
     let read_results : (int * (int * int * int) list) list ref = ref [] in
     let round_two () =
-      let per_partition = List.map snd !read_results in
-      let reads = Exec.assemble_reads txn per_partition in
-      let pairs = Exec.write_pairs txn reads in
+      let pairs = Exec.writes_from_replies txn (List.map snd !read_results) in
       (* ---- round 2: timestamped prepare at every replica ---- *)
       let counted r = (not failover) || live r in
       let expected =
@@ -97,16 +95,6 @@ let make (cluster : Cluster.t) : System.t =
       in
       let votes : (int * bool) list ref = ref [] in
       let pending = ref expected in
-      let release_everywhere () =
-        List.iter
-          (fun p ->
-            Array.iter
-              (fun r ->
-                send ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
-                  (fun () -> Store.Occ.release r.occ ~txn:txn_id))
-              replicas.(p))
-          participants
-      in
       let commit_everywhere () =
         List.iter
           (fun p ->
@@ -116,11 +104,7 @@ let make (cluster : Cluster.t) : System.t =
                 send ~src:client ~dst:r.node
                   ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
                   (fun () ->
-                    List.iter
-                      (fun (key, data) ->
-                        Store.Kv.put r.kv ~key ~data ~writer:txn_id;
-                        Check.Recorder.applied recorder ~txn:txn_id ~key)
-                      local;
+                    Exec.install recorder r.kv ~txn:txn_id local;
                     Store.Occ.release r.occ ~txn:txn_id))
               replicas.(p))
           participants
@@ -141,8 +125,7 @@ let make (cluster : Cluster.t) : System.t =
         in
         if List.for_all unanimous participants then begin
           (* Fast path: consensus on prepare at every replica. *)
-          if Check.Recorder.enabled recorder then
-            Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+          Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
           finish ~committed:true;
           commit_everywhere ()
         end
@@ -169,8 +152,7 @@ let make (cluster : Cluster.t) : System.t =
                           if (not !finalized) && !acks >= acks_needed then begin
                             finalized := true;
                             if ok then begin
-                              if Check.Recorder.enabled recorder then
-                                Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+                              Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
                               finish ~committed:true;
                               commit_everywhere ()
                             end
@@ -232,27 +214,20 @@ let make (cluster : Cluster.t) : System.t =
         let r = nearest_replica ~failover ~client p in
         let keys = plan.Exec.reads_of p in
         (* Partial-abort claims: keys from the validated prefix ride on the
-           request as (key, value, version) and, when the replica confirms
-           the version still matches, are dropped from the reply payload. *)
+           request; version-confirmed ones are dropped from the reply. *)
         let claims = Exec.claims_of txn keys in
         send ~src:client ~dst:r.node
           ~msg:
             (Msg.read_prepare ~txn:txn_id ~reads:(Array.length keys) ~writes:0
                ~extra:(Exec.claim_extra_bytes claims) ())
           (fun () ->
-            if Check.Recorder.enabled recorder then
-              Check.Recorder.reads_from_kv recorder ~txn:txn_id r.kv keys;
-            let served =
-              Exec.serve_keys r.kv keys ~claims:(Exec.claim_versions claims)
-            in
-            let values = Exec.read_values r.kv served in
+            Check.Recorder.reads_from_kv recorder ~txn:txn_id r.kv keys;
+            let served = Exec.serve r.kv keys claims in
             send ~src:r.node ~dst:client
-              ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Array.length served) ())
+              ~msg:(Msg.read_reply ~txn:txn_id ~reads:(List.length served) ())
               (fun () ->
                 if not !finished then begin
-                  Exec.note_validated txn ~attempt:txn_id ~served:values ~claims;
-                  let values = Exec.merge_claims ~served:values ~claims in
-                  Exec.note_reads txn values;
+                  let values = Exec.absorb txn ~attempt:txn_id claims served in
                   read_results := (p, values) :: !read_results;
                   decr reads_pending;
                   if !reads_pending = 0 then round_two ()
@@ -262,15 +237,7 @@ let make (cluster : Cluster.t) : System.t =
        votes outstanding forever; bound the attempt and let the driver
        retry against the live set. *)
     Failover.arm_watchdog cluster ~finished ~on_timeout:(fun () ->
-        List.iter
-          (fun p ->
-            Array.iter
-              (fun r ->
-                send ~src:client ~dst:r.node
-                  ~msg:(Msg.control ~txn:txn_id Msg.Release)
-                  (fun () -> Store.Occ.release r.occ ~txn:txn_id))
-              replicas.(p))
-          participants;
+        release_everywhere ();
         finish ~committed:false)
   in
   System.make ~name:"TAPIR" ~submit

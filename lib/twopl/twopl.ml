@@ -38,8 +38,14 @@ type coord = {
   mutable decided : bool;
 }
 
-let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = false)
-    (cluster : Cluster.t) ~variant : System.t =
+(* Wound-wait cannot resolve cycles through prepared (pinned) transactions —
+   one can be prepared at a server where it holds locks and waiting at
+   another. Like production systems, lock waits carry this timeout; a
+   transaction stuck past it aborts and retries with its original wound-wait
+   timestamp. *)
+let lock_timeout = Simcore.Sim_time.seconds 1.0
+
+let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t =
   let net = cluster.Cluster.net in
   let engine = cluster.Cluster.engine in
   let trace = Netsim.Network.trace net in
@@ -100,11 +106,6 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
         Some (Metrics.Registry.counter metrics "inversion.lock_wait_us") )
     else (None, None)
   in
-  (* Wound-wait cannot resolve cycles through prepared (pinned)
-     transactions — one can be prepared at a server where it holds locks and
-     waiting at another. Like production systems, waits carry a timeout; a
-     transaction stuck past it aborts and retries with its original
-     wound-wait timestamp. *)
   let acquire_with_timeout server (r : live_rec) ~high ~key ~exclusive ~on_granted =
     let granted = ref false in
     (* Lock waits become retroactive "lock-wait" spans: the begin/end pair is
@@ -184,9 +185,9 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
     let coordinator = Cluster.coordinator_for cluster ~client in
     let high = Txn.is_high txn in
     let finished = ref false in
+    let finish = Failover.finish cluster ~client ~txn:txn_id ~finished ~on_done in
     let abort_attempt () =
       if not !finished then begin
-        finished := true;
         List.iter
           (fun p ->
             let server = servers.(p) in
@@ -198,23 +199,28 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
           (fun () ->
             let c = coord_state ~txn_id ~client ~n_participants:n in
             c.decided <- true);
-        if Trace.recording trace then
-          Trace.instant trace ~tid:client ~txn:txn_id ~name:"txn-abort"
-            ~at:(Simcore.Engine.now engine) ();
-        on_done ~committed:false
+        finish ~committed:false
       end
     in
     let deliver_abort key =
       Txn.pa_note_fail txn ~attempt:txn_id ~key;
       abort_attempt ()
     in
+    (* The attempt's record at a participant, created by its first request. *)
+    let live_at server =
+      match Hashtbl.find_opt server.live txn_id with
+      | Some r -> r
+      | None ->
+          let r = { txn; txn_id; deliver_abort; gone = false } in
+          Hashtbl.replace server.live txn_id r;
+          r
+    in
     (* ---- phase 3: coordinator decision ---- *)
     let coord_commit pairs =
       let c = coord_state ~txn_id ~client ~n_participants:n in
       if not c.decided then begin
         c.decided <- true;
-        if Check.Recorder.enabled recorder then
-          Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+        Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
         Raft.Group.replicate
           (Cluster.coordinator_group cluster ~client)
           ~size:(Msg.write_record_bytes ~writes:(List.length pairs))
@@ -222,14 +228,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
           ~on_committed:(fun () ->
             send ~src:coordinator ~dst:client
               ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
-              (fun () ->
-                if not !finished then begin
-                  finished := true;
-                  if Trace.recording trace then
-                    Trace.instant trace ~tid:client ~txn:txn_id ~name:"txn-commit"
-                      ~at:(Simcore.Engine.now engine) ();
-                  on_done ~committed:true
-                end);
+              (fun () -> finish ~committed:true);
             List.iter
               (fun p ->
                 let server = servers.(p) in
@@ -246,11 +245,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
                       ~tag:txn_id
                       ~on_committed:(fun () -> ())
                       ();
-                    List.iter
-                      (fun (key, data) ->
-                        Store.Kv.put server.kv ~key ~data ~writer:txn_id;
-                        Check.Recorder.applied recorder ~txn:txn_id ~key)
-                      local;
+                    Exec.install recorder server.kv ~txn:txn_id local;
                     server_release server txn_id))
               participants)
           ()
@@ -270,14 +265,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
             (fun () ->
               if Hashtbl.mem server.tombstones txn_id then ()
               else begin
-                let r =
-                  match Hashtbl.find_opt server.live txn_id with
-                  | Some r -> r
-                  | None ->
-                      let r = { txn; txn_id; deliver_abort; gone = false } in
-                      Hashtbl.replace server.live txn_id r;
-                      r
-                in
+                let r = live_at server in
                 let needed = List.length write_keys in
                 let granted = ref 0 in
                 let vote () =
@@ -316,8 +304,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
     let reads_pending = ref (List.length read_partitions) in
     let read_replies : (int * int * int) list list ref = ref [] in
     let phase_one_done () =
-      let reads = Exec.assemble_reads txn !read_replies in
-      let pairs = Exec.write_pairs txn reads in
+      let pairs = Exec.writes_from_replies txn !read_replies in
       send ~src:client ~dst:coordinator
         ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
         (fun () -> start_prepare pairs)
@@ -332,10 +319,8 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
         (fun p ->
           let server = servers.(p) in
           let keys = plan.Exec.reads_of p in
-          (* Partial-abort claims for this partition's keys: (key, value,
-             version) triples the client believes are still current. They ride
-             on the request (12 bytes each) and, when the server confirms the
-             version, drop the key from the reply payload. *)
+          (* Partial-abort claims for this partition's keys ride on the
+             request; version-confirmed ones drop out of the reply. *)
           let claims = Exec.claims_of txn keys in
           send ~src:client ~dst:server.node
             ~msg:
@@ -344,14 +329,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
             (fun () ->
               if Hashtbl.mem server.tombstones txn_id then ()
               else begin
-                let r =
-                  match Hashtbl.find_opt server.live txn_id with
-                  | Some r -> r
-                  | None ->
-                      let r = { txn; txn_id; deliver_abort; gone = false } in
-                      Hashtbl.replace server.live txn_id r;
-                      r
-                in
+                let r = live_at server in
                 let needed = Array.length keys in
                 let granted = ref 0 in
                 Array.iter
@@ -361,40 +339,29 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
                         if not r.gone then begin
                           incr granted;
                           if !granted = needed then begin
-                            if Check.Recorder.enabled recorder then
-                              Check.Recorder.reads_from_kv recorder ~txn:txn_id
-                                server.kv keys;
-                            (* Serve only unclaimed / stale-claimed keys; the
-                               history is recorded over the full slice either
-                               way, so the checker sees identical reads. *)
-                            let served =
-                              Exec.serve_keys server.kv keys
-                                ~claims:(Exec.claim_versions claims)
-                            in
-                            let values = Exec.read_values server.kv served in
+                            (* The history covers the full slice; only
+                               unclaimed / stale-claimed keys are served. *)
+                            Check.Recorder.reads_from_kv recorder ~txn:txn_id server.kv
+                              keys;
+                            let served = Exec.serve server.kv keys claims in
                             (* Deliberately broken variant for checker tests:
                                give up the read locks as soon as the reads
                                are served, before the 2PC prepare — the
                                classic two-phase violation that admits lost
-                               updates. *)
-                            (* At this point the transaction holds exactly
-                               its read locks here, so releasing everything
+                               updates. The transaction holds exactly its
+                               read locks here, so releasing everything
                                releases just those. *)
                             if early_read_release then
                               Store.Locks.release_all server.locks ~txn:txn_id;
                             send ~src:server.node ~dst:client
                               ~msg:
                                 (Msg.read_reply ~txn:txn_id
-                                   ~reads:(Array.length served) ())
+                                   ~reads:(List.length served) ())
                               (fun () ->
                                 if not !finished then begin
-                                  Exec.note_validated txn ~attempt:txn_id
-                                    ~served:values ~claims;
-                                  let values =
-                                    Exec.merge_claims ~served:values ~claims
-                                  in
-                                  Exec.note_reads txn values;
-                                  read_replies := values :: !read_replies;
+                                  read_replies :=
+                                    Exec.absorb txn ~attempt:txn_id claims served
+                                    :: !read_replies;
                                   decr reads_pending;
                                   if !reads_pending = 0 then phase_one_done ()
                                 end)

@@ -23,16 +23,11 @@ type variant = Plain | Preempt | Preempt_on_wait
 val name_of : variant -> string
 (** The paper's labels: "2PL+2PC", "2PL+2PC(P)", "2PL+2PC(POW)". *)
 
-val make :
-  ?lock_timeout:Simcore.Sim_time.t ->
-  ?early_read_release:bool ->
-  Txnkit.Cluster.t ->
-  variant:variant ->
-  Txnkit.System.t
-(** [lock_timeout] (default 1 s) bounds lock waits: wound-wait cannot break
-    cycles through prepared (pinned) participants, so — as in production
-    systems — a wait that exceeds the timeout aborts the waiter, which
-    retries with its original wound-wait timestamp.
+val make : ?early_read_release:bool -> Txnkit.Cluster.t -> variant:variant -> Txnkit.System.t
+(** Lock waits are bounded by a 1 s timeout: wound-wait cannot break cycles
+    through prepared (pinned) participants, so — as in production systems —
+    a wait that exceeds it aborts the waiter, which retries with its
+    original wound-wait timestamp.
 
     [early_read_release] (default [false], test-only) deliberately breaks
     two-phase locking by releasing read locks as soon as the reads are

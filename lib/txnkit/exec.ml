@@ -37,11 +37,11 @@ let plan_of cluster (txn : Txn.t) =
     writes_of = (fun p -> find pc.Txn.pc_writes p);
   }
 
-let read_values kv keys =
-  Array.to_list keys
-  |> List.map (fun key ->
-         let v = Store.Kv.get kv key in
-         (key, v.Store.Kv.data, v.Store.Kv.version))
+let read kv key =
+  let v = Store.Kv.get kv key in
+  (key, v.Store.Kv.data, v.Store.Kv.version)
+
+let read_values kv keys = Array.to_list keys |> List.map (read kv)
 
 let assemble_reads (txn : Txn.t) per_partition =
   let table = Hashtbl.create 16 in
@@ -54,10 +54,21 @@ let write_pairs (txn : Txn.t) read_values =
   let values = txn.Txn.compute read_values in
   Array.to_list (Array.mapi (fun i key -> (key, values.(i))) txn.Txn.write_set)
 
+let writes_from_replies txn per_partition = write_pairs txn (assemble_reads txn per_partition)
+
+let install recorder kv ~txn pairs =
+  List.iter
+    (fun (key, data) ->
+      Store.Kv.put kv ~key ~data ~writer:txn;
+      Check.Recorder.applied recorder ~txn ~key)
+    pairs
+
 let pairs_on_partition cluster ~partition pairs =
   List.filter (fun (key, _) -> Cluster.partition_of_key cluster key = partition) pairs
 
 (* ---- partial-abort claim plumbing (shared by every optimistic family) ---- *)
+
+type claims = (int * int * int) list
 
 let claims_of (txn : Txn.t) keys =
   match txn.Txn.pa with
@@ -70,40 +81,28 @@ let claims_of (txn : Txn.t) keys =
                  Some (key, pa.Txn.values.(i), pa.Txn.versions.(i))
              | _ -> None)
 
-let claim_versions claims = List.map (fun (key, _, version) -> (key, version)) claims
+let claim_extra_bytes claims = 12 * List.length claims
 
-let serve_keys kv keys ~claims =
-  if claims = [] then keys
-  else
-    Array.of_list
-      (List.filter
-         (fun key ->
-           match List.assoc_opt key claims with
-           | Some version -> Store.Kv.version kv key <> version
-           | None -> true)
-         (Array.to_list keys))
-
-let merge_claims ~served ~claims =
-  if claims = [] then served
-  else
-    served
-    @ List.filter
-        (fun (key, _, _) -> not (List.exists (fun (k, _, _) -> k = key) served))
-        claims
-
-let note_validated (txn : Txn.t) ~attempt ~served ~claims =
-  if claims <> [] then
-    Txn.pa_note_reused txn ~attempt
-      (List.length
-         (List.filter
-            (fun (key, _, _) -> not (List.exists (fun (k, _, _) -> k = key) served))
-            claims))
+let serve kv keys claims =
+  let fresh key =
+    match List.find_opt (fun (k, _, _) -> k = key) claims with
+    | Some (_, _, version) -> Store.Kv.version kv key <> version
+    | None -> true
+  in
+  Array.to_list keys |> List.filter fresh |> List.map (read kv)
 
 let note_reads (txn : Txn.t) entries =
   if txn.Txn.pa <> None then
     List.iter (fun (key, data, version) -> Txn.pa_note_read txn ~key ~data ~version) entries
 
-let claim_extra_bytes claims = 12 * List.length claims
+let absorb (txn : Txn.t) ~attempt claims served =
+  let omitted =
+    List.filter (fun (key, _, _) -> not (List.exists (fun (k, _, _) -> k = key) served)) claims
+  in
+  Txn.pa_note_reused txn ~attempt (List.length omitted);
+  let values = served @ omitted in
+  note_reads txn values;
+  values
 
 let salvage_reads kv (txn : Txn.t) ~reads ~fail_key =
   if txn.Txn.pa = None then []
@@ -114,9 +113,9 @@ let salvage_reads kv (txn : Txn.t) ~reads ~fail_key =
     in
     if bound = 0 then []
     else
-      read_values kv
-        (Array.of_list
-           (List.filter (fun k -> Txn.read_index txn k < bound) (Array.to_list reads)))
+      Array.to_list reads
+      |> List.filter (fun k -> Txn.read_index txn k < bound)
+      |> List.map (read kv)
   end
 
 let salvage_all kv (txn : Txn.t) ~reads =

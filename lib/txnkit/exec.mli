@@ -1,5 +1,6 @@
 (** Per-transaction execution plumbing shared by all protocols: partition
-    plans, read-result assembly, and write-value computation. *)
+    plans, read-result assembly, write-value computation, the commit
+    install, and the partial-abort claim round trip. *)
 
 type plan = {
   participants : int list;  (** partitions, sorted *)
@@ -20,6 +21,14 @@ val write_pairs : Txn.t -> int array -> (int * int) list
 (** [(key, value)] pairs from the transaction's write set and computed
     write values. *)
 
+val writes_from_replies : Txn.t -> (int * int * int) list list -> (int * int) list
+(** [write_pairs] over [assemble_reads] of the per-partition read replies:
+    the commit's [(key, value)] write set. *)
+
+val install : Check.Recorder.t -> Store.Kv.t -> txn:int -> (int * int) list -> unit
+(** Commit install at one replica: puts each [(key, value)] pair with [txn]
+    as its writer and reports the install to the history recorder. *)
+
 val pairs_on_partition : Cluster.t -> partition:int -> (int * int) list -> (int * int) list
 
 (** {2 Partial-abort claims}
@@ -32,37 +41,36 @@ val pairs_on_partition : Cluster.t -> partition:int -> (int * int) list -> (int 
     the {e full} read slice to the checker, so histories are identical with
     the cache on or off. *)
 
-val claims_of : Txn.t -> int array -> (int * int * int) list
-(** [(key, data, version)] claimable from the validated prefix for a
-    partition's read slice; [[]] when partial aborts are off. *)
+type claims = (int * int * int) list
+(** A partition's claims: [(key, data, version)] triples from the validated
+    prefix. The request carries the (key, version) pairs; the client keeps
+    the data to fill in the values the server omits. *)
 
-val claim_versions : (int * int * int) list -> (int * int) list
-(** What actually crosses the wire: the (key, version) pairs. *)
+val claims_of : Txn.t -> int array -> claims
+(** The claims for a partition's read slice; [[]] when partial aborts are
+    off or nothing is validated. *)
 
-val serve_keys : Store.Kv.t -> int array -> claims:(int * int) list -> int array
-(** Server side: the keys that must be served fresh — unclaimed keys plus
-    claims whose version no longer matches the store. *)
+val claim_extra_bytes : claims -> int
+(** Wire cost of piggybacking the claims on a read-and-prepare. *)
 
-val merge_claims :
-  served:(int * int * int) list -> claims:(int * int * int) list -> (int * int * int) list
-(** Client side: fresh served values plus claimed entries the server
-    validated (and therefore omitted). Served values win on overlap. *)
+val serve : Store.Kv.t -> int array -> claims -> (int * int * int) list
+(** Server side: the [(key, data, version)] triples that must be served
+    fresh — unclaimed keys plus claims whose version no longer matches the
+    store — in key order. The reply's payload is their count. *)
 
-val note_validated :
-  Txn.t -> attempt:int -> served:(int * int * int) list -> claims:(int * int * int) list -> unit
-(** Client side, on a reply that honored claims: credits the claims the
-    server validated (their keys are absent from [served]) to the attempt's
-    reuse counter. The driver reports {e this} — values actually omitted
-    from replies — as [keys_reused], so over-claiming never inflates the
-    accounting. *)
+val absorb : Txn.t -> attempt:int -> claims -> (int * int * int) list -> (int * int * int) list
+(** Client side, on a reply that honored [claims]: credits the claims the
+    server validated (their keys are absent from the served triples) to
+    [attempt]'s reuse counter, merges them back in (served values win on
+    overlap), folds the result into the prefix cache and returns it. The
+    driver reports the credit — values actually omitted from replies — as
+    validated reuse, so over-claiming never inflates the accounting; a
+    stale [attempt] is credited nothing. *)
 
 val note_reads : Txn.t -> (int * int * int) list -> unit
 (** Folds authoritatively served [(key, data, version)] entries into the
     prefix cache (no-op when partial aborts are off; negative versions —
     speculative forwards — are skipped). *)
-
-val claim_extra_bytes : (int * int * int) list -> int
-(** Wire cost of piggybacking the claims on a read-and-prepare. *)
 
 val salvage_reads :
   Store.Kv.t -> Txn.t -> reads:int array -> fail_key:int -> (int * int * int) list

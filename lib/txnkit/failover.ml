@@ -15,3 +15,14 @@ let arm_watchdog cluster ~finished ~on_timeout =
     ignore
       (Simcore.Engine.schedule_after cluster.Cluster.engine attempt_timeout (fun () ->
            if not !finished then on_timeout ()))
+
+let finish cluster ~client ~txn ~finished ~on_done ~committed =
+  if not !finished then begin
+    finished := true;
+    let trace = Netsim.Network.trace cluster.Cluster.net in
+    if Trace.recording trace then
+      Trace.instant trace ~tid:client ~txn
+        ~name:(if committed then "txn-commit" else "txn-abort")
+        ~at:(Simcore.Engine.now cluster.Cluster.engine) ();
+    on_done ~committed
+  end

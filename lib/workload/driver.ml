@@ -156,8 +156,7 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
     (* Real-time bounds for the history checker are the client-visible
        invocation and response instants of this attempt — the only interval
        strict serializability is entitled to. *)
-    if Check.Recorder.enabled recorder then
-      Check.Recorder.start recorder ~txn:txn.Txn.id ~at:(Engine.now engine);
+    Check.Recorder.start recorder ~txn:txn.Txn.id ~at:(Engine.now engine);
     let a_start = Engine.now engine in
     system.System.submit txn ~on_done:(fun ~committed ->
         (* What the attempt actually reused: claims the servers validated
@@ -199,17 +198,15 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
                  (if committed then "committed" else "aborted"))
             ~at:(Engine.now engine) ()
         end;
-        if Check.Recorder.enabled recorder then
-          if committed then
-            Check.Recorder.committed recorder ~txn:txn.Txn.id ~at:(Engine.now engine)
-          else Check.Recorder.aborted recorder ~txn:txn.Txn.id;
         if committed then begin
+          Check.Recorder.committed recorder ~txn:txn.Txn.id ~at:(Engine.now engine);
           st.inflight <- st.inflight - 1;
           bump c_commits;
           note_finished txn history;
           record_commit txn
         end
         else begin
+          Check.Recorder.aborted recorder ~txn:txn.Txn.id;
           (* A deterministic (queue-oriented) system resolves contention by
              planning, so an abort can only be a failover timeout. Outside
              fault windows one attempt must always suffice. *)

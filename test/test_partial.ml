@@ -128,7 +128,9 @@ let serve_gen =
 
 let arb_serve = QCheck.make ~print:(fun _ -> "<serve>") serve_gen
 
-let claimed_vs_full (keys, shape) =
+(* One generated case: a store where each read key has taken [writes]
+   writes, and a claim per key that is fresh, stale, or absent. *)
+let serve_case (keys, shape) =
   let keys = Array.of_list keys in
   let kv = Store.Kv.create () in
   let shape = Array.of_list shape in
@@ -150,10 +152,12 @@ let claimed_vs_full (keys, shape) =
            | 1 -> Some (key, live.Store.Kv.data, live.Store.Kv.version) (* fresh *)
            | _ -> Some (key, -9999, live.Store.Kv.version - 1) (* stale cache *))
   in
-  let served = Txnkit.Exec.serve_keys kv keys ~claims:(Txnkit.Exec.claim_versions claims) in
-  let merged =
-    Txnkit.Exec.merge_claims ~served:(Txnkit.Exec.read_values kv served) ~claims
-  in
+  (kv, keys, claims)
+
+let claimed_vs_full case =
+  let kv, keys, claims = serve_case case in
+  let txn = mk_txn ~id:1 ~reads:(Array.to_list keys) ~writes:[] () in
+  let merged = Txnkit.Exec.absorb txn ~attempt:1 claims (Txnkit.Exec.serve kv keys claims) in
   let full = Txnkit.Exec.read_values kv keys in
   let by_key l = List.sort compare l in
   if by_key merged <> by_key full then
@@ -164,38 +168,62 @@ let qcheck_claimed_serve =
   QCheck.Test.make ~count:500 ~name:"claimed serve = full serve" arb_serve claimed_vs_full
 
 (* Payload only ever shrinks, and only by the number of valid claims. *)
-let claimed_payload (keys, shape) =
-  let keys = Array.of_list keys in
-  let kv = Store.Kv.create () in
-  let shape = Array.of_list shape in
-  let plan k = shape.(k mod Array.length shape) in
-  Array.iter
-    (fun key ->
-      let writes, _ = plan key in
-      for v = 1 to writes do
-        Store.Kv.put kv ~key ~data:((key * 10) + v) ~writer:(1000 + v)
-      done)
-    keys;
-  let claims =
-    Array.to_list keys
-    |> List.filter_map (fun key ->
-           let _, kind = plan key in
-           let live = Store.Kv.get kv key in
-           match kind with
-           | 0 -> None
-           | 1 -> Some (key, live.Store.Kv.data, live.Store.Kv.version)
-           | _ -> Some (key, -9999, live.Store.Kv.version - 1))
-  in
-  let valid =
-    List.length
-      (List.filter (fun (k, _, v) -> Store.Kv.version kv k = v) claims)
-  in
-  let served = Txnkit.Exec.serve_keys kv keys ~claims:(Txnkit.Exec.claim_versions claims) in
-  Array.length served = Array.length keys - valid
+let claimed_payload case =
+  let kv, keys, claims = serve_case case in
+  let valid = List.length (List.filter (fun (k, _, v) -> Store.Kv.version kv k = v) claims) in
+  List.length (Txnkit.Exec.serve kv keys claims) = Array.length keys - valid
 
 let qcheck_claimed_payload =
   QCheck.Test.make ~count:500 ~name:"valid claims shrink the reply exactly" arb_serve
     claimed_payload
+
+(* A store where keys 1, 3, 5 sit at versions 1, 2, 1, and a txn reading
+   them that claims key 1 current and key 3 at a stale version. *)
+let claim_round_trip ~attempt =
+  let kv = Store.Kv.create () in
+  Store.Kv.put kv ~key:1 ~data:10 ~writer:7;
+  Store.Kv.put kv ~key:3 ~data:30 ~writer:7;
+  Store.Kv.put kv ~key:3 ~data:31 ~writer:8;
+  Store.Kv.put kv ~key:5 ~data:50 ~writer:7;
+  let txn = mk_txn ~id:1 ~reads:[ 1; 3; 5 ] ~writes:[ 3 ] () in
+  Txnkit.Txn.enable_pa txn;
+  let claims = [ (1, 10, 1); (3, 30, 1) ] in
+  let served = Txnkit.Exec.serve kv [| 1; 3; 5 |] claims in
+  Alcotest.(check (list (triple int int int)))
+    "the stale claim and the unclaimed key are served"
+    [ (3, 31, 2); (5, 50, 1) ]
+    served;
+  let values = Txnkit.Exec.absorb txn ~attempt claims served in
+  Alcotest.(check (list (triple int int int)))
+    "merged values equal a full serve"
+    (Txnkit.Exec.read_values kv [| 1; 3; 5 |])
+    (List.sort compare values);
+  txn
+
+let test_absorb_credits_omitted () =
+  let txn = claim_round_trip ~attempt:1 in
+  Alcotest.(check int) "only the omitted claim is credited" 1 (Txnkit.Txn.pa_reused txn)
+
+let test_absorb_stale_attempt () =
+  let txn = claim_round_trip ~attempt:0 in
+  Alcotest.(check int) "a stale attempt is credited nothing" 0 (Txnkit.Txn.pa_reused txn)
+
+let test_salvage_bounds () =
+  let kv = Store.Kv.create () in
+  List.iter (fun key -> Store.Kv.put kv ~key ~data:(key * 10) ~writer:7) [ 1; 3; 5 ];
+  let reads = [| 1; 3; 5 |] in
+  let txn = mk_txn ~id:1 ~reads:[ 1; 3; 5 ] ~writes:[ 3; 7 ] () in
+  Txnkit.Txn.enable_pa txn;
+  let salvage fail_key = Txnkit.Exec.salvage_reads kv txn ~reads ~fail_key in
+  let whole = Txnkit.Exec.read_values kv reads in
+  let triples = Alcotest.(list (triple int int int)) in
+  Alcotest.check triples "unknown conflict salvages nothing" [] (salvage (-1));
+  Alcotest.check triples "read index 0 salvages nothing" [] (salvage 1);
+  Alcotest.check triples "stops before the failed read" [ (1, 10, 1); (3, 30, 1) ] (salvage 5);
+  Alcotest.check triples "write-set-only conflict salvages the whole slice" whole (salvage 7);
+  let off = mk_txn ~id:1 ~reads:[ 1; 3; 5 ] ~writes:[ 3; 7 ] () in
+  Alcotest.check triples "partial aborts off salvages nothing" []
+    (Txnkit.Exec.salvage_reads kv off ~reads ~fail_key:7)
 
 (* ------------------------------------------------------------------ *)
 (* End to end: each family, checked, with partial aborts on. The checker
@@ -290,6 +318,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_claimed_serve;
           QCheck_alcotest.to_alcotest qcheck_claimed_payload;
+          Alcotest.test_case "absorb credits exactly the omitted claims" `Quick
+            test_absorb_credits_omitted;
+          Alcotest.test_case "absorb credits a stale attempt nothing" `Quick
+            test_absorb_stale_attempt;
+          Alcotest.test_case "salvage stays inside the valid prefix" `Quick test_salvage_bounds;
         ] );
       ( "e2e",
         List.map
