@@ -547,8 +547,7 @@ let faults_arg =
 let jobs_arg =
   let doc =
     "Run up to $(docv) independent simulations in parallel on separate domains (default: \
-     min(number of cores, runs); the NATTO_JOBS environment variable also overrides the \
-     default). Each (system, seed) cell — and each figure cell under --figure — runs \
+     min(number of cores, runs)). Each (system, seed) cell — and each figure cell under --figure — runs \
      fully self-contained, and results are merged and printed in the sequential order, \
      so output is byte-for-byte identical to --jobs 1."
   in

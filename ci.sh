@@ -22,6 +22,32 @@ section() {
   fi
 }
 
+# csv_blocks FILE: every figure block in FILE (a "figure,..." header line
+# up to the next blank line) has as many cells in each of its CSV rows as
+# in its header; '#' lines are commentary and skipped.
+csv_blocks() {
+  python3 - "$1" <<'EOF'
+import sys
+header = None
+blocks = 0
+for n, line in enumerate(open(sys.argv[1]), 1):
+    line = line.rstrip("\n")
+    if line.startswith("#"):
+        continue
+    if not line:
+        header = None
+        continue
+    cells = line.split(",")
+    if cells[0] == "figure":
+        header = cells
+        blocks += 1
+    elif header is None or len(cells) != len(header):
+        sys.exit("%s:%d: %d cells, header has %s: %s"
+                 % (sys.argv[1], n, len(cells), len(header) if header else "none", line))
+assert blocks > 0, "no figure header in %s" % sys.argv[1]
+EOF
+}
+
 section "dune build"
 dune build
 
@@ -215,6 +241,7 @@ tb_j4="${TMPDIR:-/tmp}/natto_ci_tailblame_j4.csv"
 dune exec bin/natto_sim.exe -- --figure tailblame --jobs 1 >"$tb_j1"
 dune exec bin/natto_sim.exe -- --figure tailblame --jobs 4 >"$tb_j4"
 cmp "$tb_j1" "$tb_j4"
+csv_blocks "$tb_j1"
 python3 - "$tb_j1" <<'EOF'
 import sys
 rows = {}
@@ -249,6 +276,7 @@ bench_exe="$PWD/_build/default/bench/main.exe"
 grep -v '^# bench wall time' "$par_dir/j1/out.csv" >"$par_dir/j1.csv"
 grep -v '^# bench wall time' "$par_dir/j4/out.csv" >"$par_dir/j4.csv"
 cmp "$par_dir/j1.csv" "$par_dir/j4.csv"
+csv_blocks "$par_dir/j1.csv"
 tail -n +2 "$par_dir/j1/BENCH_results.json" >"$par_dir/j1.json"
 tail -n +2 "$par_dir/j4/BENCH_results.json" >"$par_dir/j4.json"
 cmp "$par_dir/j1.json" "$par_dir/j4.json"
@@ -305,6 +333,7 @@ rs_j4="${TMPDIR:-/tmp}/natto_ci_retrysweep_j4.csv"
 dune exec bin/natto_sim.exe -- --figure retrysweep --jobs 1 >"$rs_j1"
 dune exec bin/natto_sim.exe -- --figure retrysweep --jobs 4 >"$rs_j4"
 cmp "$rs_j1" "$rs_j4"
+csv_blocks "$rs_j1"
 python3 - "$rs_j1" <<'EOF'
 import sys
 cut = {}

@@ -124,13 +124,12 @@ let conflicts_occ ~reads ~writes (other : srec) =
 
 let conflicts_any keys (other : srec) = overlap keys other.keys
 
-let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
+(* [check_invariants] turns on the expensive per-prepare assertions. *)
+let build ~check_invariants (cluster : Cluster.t) ~(features : Features.t) =
   let engine = cluster.Cluster.engine in
   let net = cluster.Cluster.net in
   let clock = cluster.Cluster.clock in
   let stats = new_stats () in
-  (* Expensive per-prepare assertions, enabled by tests. *)
-  let check_invariants = Sys.getenv_opt "NATTO_CHECK_INVARIANTS" <> None in
   let send ~src ~dst ~msg f = Rpc.send net ~src ~dst ~msg f in
   let trace = Netsim.Network.trace net in
   (* Lifecycle instants land on the transactions track of the Chrome trace;
@@ -1093,4 +1092,5 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
   in
   (System.make ~name:(Features.name features) ~submit, stats)
 
-let make cluster ~features = fst (make_with_stats cluster ~features)
+let make cluster ~features = fst (build ~check_invariants:false cluster ~features)
+let make_with_stats = build ~check_invariants:true

@@ -52,3 +52,7 @@ type stats = {
 }
 
 val make_with_stats : Txnkit.Cluster.t -> features:Features.t -> Txnkit.System.t * stats
+(** {!make}, plus the instance's counters; every prepare also asserts the
+    timestamp-order invariant (raising [Failure] when a transaction
+    prepares ahead of a queued or waiting conflicting transaction with a
+    smaller timestamp). *)

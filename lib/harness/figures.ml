@@ -218,7 +218,7 @@ let fig9 c =
 (* Fig. 10: SmallBank with sendPayment as the high-priority class *)
 
 let fig10 c =
-  header c
+  header c ~columns:"figure,x_label,x,system,p95_high_ms,p95_high_ci,increase_pct"
     "SmallBank with sendPayment=high, 95P high-priority latency and its increase ratio vs \
      the 100 txn/s baseline";
   let gen = Workload.Smallbank.gen ~prioritize_send_payment:true () in
@@ -250,7 +250,7 @@ let fig10 c =
       let increase_pct =
         100. *. (summary.Experiment.p95_high_ms -. !baseline) /. !baseline
       in
-      Printf.printf "%s,rate_tps,%.0f,%s,%.1f,%.1f,increase_pct,%.1f\n%!" c.name rate
+      Printf.printf "%s,rate_tps,%.0f,%s,%.1f,%.1f,%.1f\n%!" c.name rate
         (Experiment.spec_name spec) summary.Experiment.p95_high_ms
         summary.Experiment.p95_high_ci increase_pct;
       collect c ~x_label:"rate_tps" ~x:(Printf.sprintf "%.0f" rate)
@@ -321,7 +321,7 @@ let fig13 c =
 (* Fig. 14: throughput scaling on the local cluster *)
 
 let fig14 c =
-  header c
+  header c ~columns:"figure,x_label,x,system,peak_goodput_tps"
     "Peak throughput (committed txn/s) vs number of partitions; uniform Retwis, 3 local DCs";
   let gen = Workload.Retwis.gen ~theta:0.0 () in
   let systems =
@@ -393,7 +393,7 @@ let fig14 c =
             if goodput > best then goodput else best)
           0.0 outs
       in
-      Printf.printf "%s,partitions,%d,%s,peak_goodput_tps,%.0f\n%!" c.name n_partitions
+      Printf.printf "%s,partitions,%d,%s,%.0f\n%!" c.name n_partitions
         (Experiment.spec_name spec) best;
       collect c ~x_label:"partitions" ~x:(string_of_int n_partitions)
         ~system:(Experiment.spec_name spec)
@@ -607,9 +607,7 @@ let check_figure c =
 let attribution c =
   header c
     ~columns:
-      (c.name
-     ^ ",system,class,n,e2e_mean_ms,e2e_p95_ms,e2e_p99_ms,wan_pct,cpu_queue_pct,lock_wait_pct,queue_wait_pct,replication_pct,batching_pct,backoff_pct,exec_pct,residual_pct"
-      )
+      "figure,system,class,n,e2e_mean_ms,e2e_p95_ms,e2e_p99_ms,wan_pct,cpu_queue_pct,lock_wait_pct,queue_wait_pct,replication_pct,batching_pct,backoff_pct,exec_pct,residual_pct"
     "commit-latency critical path, YCSB+T zipf 0.95 @100 txn/s per family";
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let setup =
@@ -679,9 +677,7 @@ let attribution c =
 let batchsweep c =
   header c
     ~columns:
-      (c.name
-     ^ ",mode,rate_tps,goodput_tps,p95_ms,p95_high_ms,envelopes,batched_msgs,msgs_per_envelope,flush_idle,flush_timer,flush_size,flush_bytes,flush_cut"
-      )
+      "figure,mode,rate_tps,goodput_tps,p95_ms,p95_high_ms,envelopes,batched_msgs,msgs_per_envelope,flush_idle,flush_timer,flush_size,flush_bytes,flush_cut"
     "adaptive group-commit batching: goodput and p95 vs offered load, batched vs unbatched; \
      uniform Retwis, 3 local DCs, 4 partitions";
   let gen = Workload.Retwis.gen ~theta:0.0 () in
@@ -940,9 +936,7 @@ let queccsweep c =
 let tailblame c =
   header c
     ~columns:
-      (c.name
-     ^ ",zipf,system,n,n_high,hh_us,hl_us,hn_us,lh_us,ll_us,ln_us,wait_us,inversion_us,inv_per_high_us,hot1_share,hot8_share"
-      )
+      "figure,zipf,system,n,n_high,hh_us,hl_us,hn_us,lh_us,ll_us,ln_us,wait_us,inversion_us,inv_per_high_us,hot1_share,hot8_share"
     "class x class blocked-us matrix, inversion and hot-key concentration, YCSB+T @20 txn/s \
      vs Zipf theta";
   (* Shorter, lighter cells than the latency figures: the profiler needs
@@ -1073,9 +1067,7 @@ let tailblame c =
 let retrysweep c =
   header c
     ~columns:
-      (c.name
-     ^ ",zipf,pa,system,p95_high_ms,p95_low_ms,goodput_high_tps,goodput_low_tps,aborts,partial_restarts,keys_reused,keys_validated"
-      )
+      "figure,zipf,pa,system,p95_high_ms,p95_low_ms,goodput_high_tps,goodput_low_tps,aborts,partial_restarts,keys_reused,keys_validated"
     "partial aborts (resume from first invalidated read) off vs on, YCSB+T @100 txn/s vs \
      Zipf theta";
   let driver ~pa =

@@ -6,19 +6,9 @@
 let configured : int option ref = ref None
 let set_jobs n = configured := n
 
-let env_jobs () =
-  match Sys.getenv_opt "NATTO_JOBS" with
-  | None -> None
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
-
 let jobs_for ~cells =
   let requested =
-    match !configured with
-    | Some n -> n
-    | None -> (
-        match env_jobs () with
-        | Some n -> n
-        | None -> Domain.recommended_domain_count ())
+    match !configured with Some n -> n | None -> Domain.recommended_domain_count ()
   in
   max 1 (min requested (max 1 cells))
 

@@ -28,10 +28,9 @@ val set_jobs : int option -> unit
     Call from the main domain before any runs. *)
 
 val jobs_for : cells:int -> int
-(** Resolved worker count for a batch of [cells] independent jobs:
-    the [set_jobs] override if any, else the [NATTO_JOBS] environment
-    variable, else [Domain.recommended_domain_count ()]; always within
-    [1 .. max 1 cells]. *)
+(** Resolved worker count for a batch of [cells] independent jobs: the
+    [set_jobs] override if any, else [Domain.recommended_domain_count ()];
+    always within [1 .. max 1 cells]. *)
 
 (** {2 Speedup accounting} *)
 

@@ -6,11 +6,13 @@ type t = {
   net : Network.t;
   node : int;
   proxy : Proxy.t;
-  refresh : Sim_time.t;
   cache : (int, float) Hashtbl.t;
   mutable running : bool;
   mutable timer : Engine.handle option;
 }
+
+(* §5.1: clients refresh their copy of the proxy's table every 100 ms. *)
+let refresh = Sim_time.ms 100.
 
 let fetch t =
   Rpc.send_isolated t.net ~src:t.node ~dst:(Proxy.node t.proxy) ~msg:(Rpc.Msg.cache_fetch ())
@@ -25,17 +27,16 @@ let fetch t =
 let rec tick t =
   if t.running then begin
     fetch t;
-    t.timer <- Some (Engine.schedule_after t.engine t.refresh (fun () -> tick t))
+    t.timer <- Some (Engine.schedule_after t.engine refresh (fun () -> tick t))
   end
 
-let create ~engine ~net ~node ~proxy ?(refresh = Sim_time.ms 100.) () =
+let create ~engine ~net ~node ~proxy =
   let t =
     {
       engine;
       net;
       node;
       proxy;
-      refresh;
       cache = Hashtbl.create 16;
       running = true;
       timer = None;

@@ -5,10 +5,6 @@ type config = {
   cv_override : float option;
   loss : float;
   rto_floor : Sim_time.t;
-  wan_bandwidth_mbps : float;
-  mathis_flows : float;
-  header_bytes : int;
-  pareto_threshold : float;
 }
 
 let default_config =
@@ -19,11 +15,18 @@ let default_config =
     cv_override = None;
     loss = 0.0;
     rto_floor = Sim_time.ms 200.;
-    wan_bandwidth_mbps = 1000.;
-    mathis_flows = 16.;
-    header_bytes = 96;
-    pareto_threshold = 0.005;
   }
+
+(* Loss-free capacity per directed DC pair, and the concurrent TCP flows
+   that share it when loss turns the Mathis bound on. *)
+let wan_bandwidth_mbps = 1000.
+let mathis_flows = 16.
+
+(* Added to every message's (or envelope's) payload size. *)
+let header_bytes = 96
+
+(* Variance coefficient above which one-way delays turn Pareto. *)
+let pareto_threshold = 0.005
 
 type batch_item = {
   bi_kind : string;
@@ -87,12 +90,12 @@ let mathis_c = 1.22
 
 (* Effective capacity of a directed DC link in bytes per microsecond. *)
 let effective_rate config topo a b =
-  let base = config.wan_bandwidth_mbps *. 1e6 /. 8. /. 1e6 in
+  let base = wan_bandwidth_mbps *. 1e6 /. 8. /. 1e6 in
   if config.loss <= 0.0 || a = b then base
   else begin
     let rtt_s = Topology.rtt_ms topo a b /. 1e3 in
     let per_flow = mathis_c *. mss_bytes /. (rtt_s *. sqrt config.loss) in
-    let tcp = config.mathis_flows *. per_flow /. 1e6 in
+    let tcp = mathis_flows *. per_flow /. 1e6 in
     Float.min base tcp
   end
 
@@ -162,7 +165,7 @@ let sample_owd t ~src_dc ~dst_dc =
   in
   let sampled =
     if cv <= 0.0 then mean
-    else if cv <= t.config.pareto_threshold then
+    else if cv <= pareto_threshold then
       Rng.normal t.rng ~mean ~stddev:(mean *. cv)
     else Rng.pareto t.rng ~mean ~cv
   in
@@ -220,7 +223,7 @@ let prune t ~now =
 
 let deliver t ?(kind = "other") ?txn ?priority ~src ~dst ~bytes ~to_cpu f =
   let src_dc = t.node_dc.(src) and dst_dc = t.node_dc.(dst) in
-  let bytes = bytes + t.config.header_bytes in
+  let bytes = bytes + header_bytes in
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + bytes;
   if
@@ -313,9 +316,9 @@ let send_batch t ~src ~dst ~cpu_cost msgs =
       let payload =
         List.fold_left (fun acc m -> acc + m.bi_bytes + batch_frame_bytes) 0 msgs
       in
-      let bytes = payload + t.config.header_bytes in
+      let bytes = payload + header_bytes in
       let msg_bytes i m =
-        m.bi_bytes + batch_frame_bytes + if i = 0 then t.config.header_bytes else 0
+        m.bi_bytes + batch_frame_bytes + if i = 0 then header_bytes else 0
       in
       t.messages <- t.messages + n;
       t.bytes <- t.bytes + bytes;

@@ -9,7 +9,7 @@
     The model, and what each piece reproduces from the paper:
 
     - {b Propagation}: one-way delay = RTT/2 from the topology, perturbed by
-      the link's variance coefficient. Variance below [pareto_threshold]
+      the link's variance coefficient. A variance coefficient up to 0.005
       uses a truncated Gaussian (stable private WAN, §2.2); above it, a
       Pareto distribution with matching mean, as the paper's §5.5 emulation
       does.
@@ -18,8 +18,8 @@
       transmission adds a TCP-like retransmission timeout
       [max rto_floor (2 * rtt)].
     - {b Capacity} (Fig. 12 saturation): each directed DC pair is a queueing
-      station whose rate is the smaller of the configured WAN bandwidth and
-      a Mathis-model TCP throughput [flows * MSS * 1.22 / (rtt * sqrt loss)]
+      station whose rate is the smaller of the 1 Gbit/s WAN bandwidth and a
+      Mathis-model TCP throughput [16 flows * MSS * 1.22 / (rtt * sqrt loss)]
       when loss is non-zero. Systems that move more bytes (Carousel Basic
       replicates transactional data twice) saturate at lower loss rates.
     - {b CPU} (Fig. 7c, Fig. 14): the receiving node's CPU processes each
@@ -30,10 +30,6 @@ type config = {
   cv_override : float option;  (** replaces every link's variance coefficient *)
   loss : float;  (** cross-DC packet loss probability, [0, 1) *)
   rto_floor : Simcore.Sim_time.t;  (** minimum TCP retransmission timeout *)
-  wan_bandwidth_mbps : float;  (** loss-free capacity per directed DC pair *)
-  mathis_flows : float;  (** concurrent TCP flows sharing a DC pair *)
-  header_bytes : int;  (** added to every message's payload size *)
-  pareto_threshold : float;  (** cv above which delays turn Pareto *)
 }
 
 val default_config : config
@@ -151,8 +147,8 @@ val set_batch_sink : t -> batch_sink option -> unit
 val batch_sink : t -> batch_sink option
 
 val batch_frame_bytes : int
-(** Per-message framing overhead inside an envelope; the [header_bytes]
-    envelope header is paid once per flush instead of once per message. *)
+(** Per-message framing overhead inside an envelope; the 96-byte envelope
+    header is paid once per flush instead of once per message. *)
 
 val send_batch :
   t -> src:int -> dst:int -> cpu_cost:Simcore.Sim_time.t -> batch_item list -> unit

@@ -6,7 +6,9 @@ module Registry = Metrics.Registry
 type variant = Fifo | Prio
 
 let name = function Fifo -> "QueCC" | Prio -> "QueCC-Prio"
-let default_epoch = Sim_time.ms 10.
+
+(* The planner's batching interval. *)
+let epoch_interval = Sim_time.ms 10.
 
 (* Dispatched-but-unacked epochs a planner lets pile up before it stops
    closing new ones; see [on_tick]. *)
@@ -209,7 +211,7 @@ type executor = {
   mutable x_depth : int;  (* unapplied queue entries, for the gauge *)
 }
 
-let make ?(epoch = default_epoch) cluster ~variant =
+let make cluster ~variant =
   let engine = cluster.Cluster.engine in
   let net = cluster.Cluster.net in
   let trace = Rpc.trace net in
@@ -270,7 +272,7 @@ let make ?(epoch = default_epoch) cluster ~variant =
         pl
   and tick pl =
     ignore
-      (Engine.schedule_after engine epoch (fun () ->
+      (Engine.schedule_after engine epoch_interval (fun () ->
            on_tick pl;
            tick pl))
   and on_tick pl =

@@ -85,6 +85,6 @@ module Chains : sig
       converge to exactly this, whatever order bases arrive in. *)
 end
 
-val make : ?epoch:Simcore.Sim_time.t -> Txnkit.Cluster.t -> variant:variant -> Txnkit.System.t
-(** Instantiate the family on a cluster (requires Raft groups). [epoch] is
-    the planner's batching interval, 10 ms by default. *)
+val make : Txnkit.Cluster.t -> variant:variant -> Txnkit.System.t
+(** Instantiate the family on a cluster (requires Raft groups). The
+    planner closes a batch every 10 ms. *)

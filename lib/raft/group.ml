@@ -20,15 +20,12 @@ let envelope_of msg =
   in
   Rpc.Msg.make kind ~bytes:(Types.message_bytes msg)
 
-let create ~engine ~net ~rng ?(config = Node.default_config) ?(group_commit = false)
-    ~members ?initial_leader () =
+let create ~engine ~net ~rng ?(group_commit = false) ~members ?initial_leader () =
   let nodes =
     Array.to_list
       (Array.map
          (fun id ->
-           let n =
-             Node.create ~engine ~rng:(Simcore.Rng.split rng) ~config ~id ~peers:members
-           in
+           let n = Node.create ~engine ~rng:(Simcore.Rng.split rng) ~id ~peers:members in
            Node.set_group_commit n group_commit;
            (id, n))
          members)

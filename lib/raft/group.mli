@@ -10,7 +10,6 @@ val create :
   engine:Simcore.Engine.t ->
   net:Netsim.Network.t ->
   rng:Simcore.Rng.t ->
-  ?config:Node.config ->
   ?group_commit:bool ->
   members:int array ->
   ?initial_leader:int ->

@@ -1,33 +1,22 @@
 (** A single Raft participant.
 
     Implements the full consensus algorithm of Ongaro & Ousterhout: randomized
-    election timeouts, leader election with up-to-date log checks, log
-    replication with consistency checks and conflict truncation, and commit
-    advancement restricted to the current term. Crash/restart preserves
-    persistent state (term, vote, log) and discards volatile state, modelling
-    a process with durable storage.
+    election timeouts (uniform in 1.5–3 s, with 150 ms heartbeats), leader
+    election with up-to-date log checks, log replication with consistency
+    checks and conflict truncation, and commit advancement restricted to the
+    current term. Crash/restart preserves persistent state (term, vote, log)
+    and discards volatile state, modelling a process with durable storage.
 
     Nodes are wired together by {!Group}, which provides the [send]
     transport over the simulated network. *)
 
 type role = Follower | Candidate | Leader
 
-type config = {
-  election_timeout : Simcore.Sim_time.t;
-      (** base timeout; actual timeouts are uniform in [\[base, 2*base\]] *)
-  heartbeat_interval : Simcore.Sim_time.t;
-}
-
-val default_config : config
-(** WAN-appropriate defaults: 1.5 s election timeout base, 150 ms
-    heartbeats. *)
-
 type t
 
 val create :
   engine:Simcore.Engine.t ->
   rng:Simcore.Rng.t ->
-  config:config ->
   id:int ->
   peers:int array ->
   t

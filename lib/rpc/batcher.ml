@@ -1,22 +1,20 @@
 open Simcore
 module Net = Netsim.Network
 
-type config = {
-  max_hold : Sim_time.t;
-  max_msgs : int;
-  max_bytes : int;
-  cut_priority : int;
-  marginal_cpu_pct : int;
-}
+type config = { max_msgs : int }
 
-let default_config =
-  {
-    max_hold = Sim_time.us 800;
-    max_msgs = 64;
-    max_bytes = 48 * 1024;
-    cut_priority = 1;
-    marginal_cpu_pct = 10;
-  }
+let default_config = { max_msgs = 64 }
+
+(* Flush policy constants: the longest a message waits in a batch, the
+   envelope's payload capacity, and the priority at or above which a send
+   cuts the batch boundary (Natto's high class). *)
+let max_hold = Sim_time.us 800
+let max_bytes = 48 * 1024
+let cut_priority = 1
+
+(* Receive CPU cost of each message after the first, as a percent of
+   [msg_cost]: the amortized per-message processing cost. *)
+let marginal_cpu_pct = 10
 
 type flush_reason = Idle | Timer | Size_cap | Byte_cap | Cut_through
 
@@ -113,7 +111,7 @@ let flush t conn ~reason =
          the marginal rate — the receive-side half of the amortization. *)
       let cpu_cost =
         Sim_time.us
-          (t.msg_cost_us + ((n - 1) * t.msg_cost_us * t.cfg.marginal_cpu_pct / 100))
+          (t.msg_cost_us + ((n - 1) * t.msg_cost_us * marginal_cpu_pct / 100))
       in
       Net.send_batch t.net ~src:conn.c_src ~dst:conn.c_dst ~cpu_cost
         (List.map (fun p -> p.p_item) msgs)
@@ -147,10 +145,10 @@ let enqueue t ~kind ~txn ~priority ~src ~dst ~bytes f =
     conn.q_len <- conn.q_len + 1;
     conn.q_bytes <- conn.q_bytes + bytes + Net.batch_frame_bytes;
     t.pending_msgs <- t.pending_msgs + 1;
-    let cut = match priority with Some p -> p >= t.cfg.cut_priority | None -> false in
+    let cut = match priority with Some p -> p >= cut_priority | None -> false in
     if cut then flush t conn ~reason:Cut_through
     else if conn.q_len >= t.cfg.max_msgs then flush t conn ~reason:Size_cap
-    else if conn.q_bytes >= t.cfg.max_bytes then flush t conn ~reason:Byte_cap
+    else if conn.q_bytes >= max_bytes then flush t conn ~reason:Byte_cap
     else if was_empty then begin
       let src_dc = Net.dc_of t.net src and dst_dc = Net.dc_of t.net dst in
       let path_idle =
@@ -161,7 +159,7 @@ let enqueue t ~kind ~txn ~priority ~src ~dst ~bytes f =
       else
         conn.timer <-
           Some
-            (Engine.schedule_after t.engine t.cfg.max_hold (fun () ->
+            (Engine.schedule_after t.engine max_hold (fun () ->
                  conn.timer <- None;
                  flush t conn ~reason:Timer))
     end

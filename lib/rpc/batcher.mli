@@ -13,28 +13,25 @@
       immediately when the link's transmission queue is empty and the
       destination CPU is unoccupied, so light load keeps unbatched
       latency;
-    - {b timer}: on a busy path the queue holds for [max_hold], growing
+    - {b timer}: on a busy path the queue holds for up to 800 µs, growing
       while the bottleneck drains — batch size tracks congestion as in
       Little's law;
-    - {b size}/{b bytes}: full envelopes ([max_msgs], [max_bytes]) flush;
-    - {b cut}: a message with priority ≥ [cut_priority] (Natto's
-      high-priority class) cuts the batch boundary — the connection
-      flushes at once with the newcomer aboard, so prioritized
-      transactions never wait out a hold timer. Per-connection FIFO order
-      is preserved: the cut message rides the {e front} envelope on the
-      wire rather than jumping over earlier messages. *)
+    - {b size}/{b bytes}: full envelopes ([max_msgs], 48 KiB of payload)
+      flush;
+    - {b cut}: a message with priority ≥ 1 (Natto's high-priority class)
+      cuts the batch boundary — the connection flushes at once with the
+      newcomer aboard, so prioritized transactions never wait out a hold
+      timer. Per-connection FIFO order is preserved: the cut message rides
+      the {e front} envelope on the wire rather than jumping over earlier
+      messages.
 
-type config = {
-  max_hold : Simcore.Sim_time.t;  (** max time a message waits in a batch *)
-  max_msgs : int;  (** envelope capacity in messages *)
-  max_bytes : int;  (** envelope capacity in payload bytes *)
-  cut_priority : int;  (** priority at or above which a send cuts the boundary *)
-  marginal_cpu_pct : int;
-      (** receive CPU cost of each message after the first, as a percent of
-          [msg_cost] — the amortized per-message processing cost *)
-}
+    An envelope of [n] messages costs the receiving CPU one [msg_cost] plus
+    10% of [msg_cost] for each message after the first. *)
+
+type config = { max_msgs : int  (** envelope capacity in messages *) }
 
 val default_config : config
+(** 64 messages per envelope. *)
 
 type flush_reason = Idle | Timer | Size_cap | Byte_cap | Cut_through
 

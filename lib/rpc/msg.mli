@@ -89,7 +89,6 @@ val quecc_install_ack : ?txn:int -> unit -> t
     ([prepare_record_bytes], [write_record_bytes] are replicated records,
     not messages). *)
 
-val key_bytes : int
 val value_bytes : int
 val read_and_prepare_bytes : reads:int -> writes:int -> int
 val read_reply_bytes : reads:int -> int

@@ -60,7 +60,12 @@ let merge a b =
   t.underflow <- a.underflow + b.underflow;
   t
 
-let render ?(width = 40) ?(rows = 8) t =
+(* The sketch is [width] cells wide; a cell's height is one of the eight
+   bar glyphs, scaled to the fullest cell. *)
+let width = 40
+let glyphs = [| " "; "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |]
+
+let render t =
   if t.count = 0 then "(empty)"
   else begin
     (* Find the occupied range of buckets. *)
@@ -85,14 +90,13 @@ let render ?(width = 40) ?(rows = 8) t =
       t.buckets;
     if t.underflow > 0 then cells.(0) <- cells.(0) + t.underflow;
     let peak = Array.fold_left Stdlib.max 1 cells in
-    let glyphs = [| " "; "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |] in
     let bar =
       String.concat ""
         (Array.to_list
            (Array.map
               (fun v ->
                 if v = 0 then glyphs.(0)
-                else glyphs.(1 + (v * (rows - 1) / peak)))
+                else glyphs.(1 + (v * (Array.length glyphs - 2) / peak)))
               cells))
     in
     let label ms =

@@ -17,8 +17,8 @@ val percentile : t -> p:float -> float
 (** Approximate percentile from bucket midpoints; exact enough for
     rendering (buckets are ~5% wide). Raises on an empty histogram. *)
 
-val render : ?width:int -> ?rows:int -> t -> string
-(** A small vertical-bar sketch of the distribution with a log-scaled
+val render : t -> string
+(** A 40-cell vertical-bar sketch of the distribution with a log-scaled
     x-axis, e.g. ["10ms [▂▅█▃  ] 2.3s"]. *)
 
 val merge : t -> t -> t

@@ -100,18 +100,16 @@ val kind_bytes : t -> (string * int) list
 val link_counts : t -> ((int * int) * int) list
 (** Messages per directed (src DC, dst DC) pair, sorted by pair. *)
 
-val kind_totals : t -> (string * int * int) list
-(** (kind, messages, wire bytes), most messages first; ties in table
-    order, which is deterministic for a given sequence of {!absorb}s. *)
-
 val absorb : into:t -> t -> unit
 (** Add [t]'s per-kind and per-link message counters to [into]'s; events
     are not copied. Totals over many runs are a fold of [absorb] into one
     sink. *)
 
 val print_totals : t -> unit
-(** Print {!kind_totals} and {!link_counts} on stdout as a table whose
-    every line starts with ["#"], so it can follow a CSV block. *)
+(** Print the per-kind (messages, wire bytes) totals, most messages first
+    and ties in table order (deterministic for a given sequence of
+    {!absorb}s), then {!link_counts}, on stdout as a table whose every line
+    starts with ["#"], so it can follow a CSV block. *)
 
 val total_messages : t -> int
 val event_count : t -> int

@@ -101,10 +101,13 @@ let register_instruments ~(metrics : Metrics.Registry.t) ~engine ~net ~cpus ~rep
           proxies;
         if !n = 0 then 0. else !sum /. float_of_int !n)
 
-let build ?(topo = Topology.azure5) ?(n_partitions = 5) ?(replication = 3)
-    ?(clients_per_dc = 2) ?(net_config = Network.default_config)
-    ?(raft_config = Raft.Node.default_config) ?(max_clock_skew = Sim_time.ms 1.)
-    ?(with_raft = true) ?(with_proxies = true) ?batching ?trace ?metrics ~seed () =
+(* §5.1: three replicas per partition; clocks within 1 ms of true time. *)
+let replication = 3
+let max_clock_skew = Sim_time.ms 1.
+
+let build ?(topo = Topology.azure5) ?(n_partitions = 5) ?(clients_per_dc = 2)
+    ?(net_config = Network.default_config) ?(with_raft = true) ?(with_proxies = true)
+    ?batching ?trace ?metrics ~seed () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
   let n_dcs = Topology.n_dcs topo in
@@ -162,7 +165,7 @@ let build ?(topo = Topology.azure5) ?(n_partitions = 5) ?(replication = 3)
   let groups =
     if with_raft then
       Array.init n_partitions (fun p ->
-          Raft.Group.create ~engine ~net ~rng:(Rng.split rng) ~config:raft_config
+          Raft.Group.create ~engine ~net ~rng:(Rng.split rng)
             ~group_commit:(Option.is_some batcher) ~members:replicas.(p)
             ~initial_leader:replicas.(p).(0) ())
     else [||]
@@ -171,15 +174,14 @@ let build ?(topo = Topology.azure5) ?(n_partitions = 5) ?(replication = 3)
   let proxies =
     if with_proxies then
       Array.init n_dcs (fun dc ->
-          Measure.Proxy.create ~engine ~net ~clock ~node:proxy_nodes.(dc) ~targets:leaders ())
+          Measure.Proxy.create ~engine ~net ~clock ~node:proxy_nodes.(dc) ~targets:leaders)
     else [||]
   in
   let caches =
     if with_proxies then
       Array.map
         (fun client ->
-          Measure.Delay_cache.create ~engine ~net ~node:client
-            ~proxy:proxies.(node_dc.(client)) ())
+          Measure.Delay_cache.create ~engine ~net ~node:client ~proxy:proxies.(node_dc.(client)))
         clients
     else [||]
   in

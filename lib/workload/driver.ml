@@ -7,7 +7,6 @@ type config = {
   warmup : Sim_time.t;
   cooldown : Sim_time.t;
   high_fraction : float;
-  max_retries : int;
   drain : Sim_time.t;
   seed : int;
   partial_abort : bool;
@@ -20,11 +19,13 @@ let default_config =
     warmup = Sim_time.seconds 5.;
     cooldown = Sim_time.seconds 5.;
     high_fraction = 0.1;
-    max_retries = 100;
     drain = Sim_time.seconds 40.;
     seed = 1;
     partial_abort = false;
   }
+
+(* Attempts per transaction before it is recorded as failed. *)
+let max_retries = 100
 
 type result = {
   high_latencies_ms : float array;
@@ -216,7 +217,7 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
                  system.System.name txn.Txn.id);
           st.aborts <- st.aborts + 1;
           bump c_aborts;
-          if tries + 1 >= config.max_retries then begin
+          if tries + 1 >= max_retries then begin
             st.inflight <- st.inflight - 1;
             if in_window txn.Txn.born then st.failed <- st.failed + 1
           end

@@ -3,9 +3,9 @@
     Generates new transactions as a Poisson process at [rate_tps], spread
     round-robin over the cluster's client nodes. An aborted transaction is
     retried immediately with a fresh attempt id (retries do not count toward
-    the input rate); after [max_retries] failed attempts the transaction is
-    recorded as failed and its latency excluded. Committed-transaction
-    latency includes all retries.
+    the input rate); after 100 failed attempts the transaction is recorded
+    as failed and its latency excluded. Committed-transaction latency
+    includes all retries.
 
     Statistics cover transactions born inside the measurement window
     [\[warmup, duration - cooldown\]]. *)
@@ -16,7 +16,6 @@ type config = {
   warmup : Simcore.Sim_time.t;
   cooldown : Simcore.Sim_time.t;
   high_fraction : float;  (** probability a new transaction is high-priority *)
-  max_retries : int;
   drain : Simcore.Sim_time.t;  (** extra time to let in-flight transactions finish *)
   seed : int;
   partial_abort : bool;
@@ -27,9 +26,9 @@ type config = {
 
 val default_config : config
 (** 20 simulated seconds at 50 txn/s, 5 s warmup/cooldown, 10% high
-    priority, 100 retries — a scaled-down version of §5.1's 60 s / 10 s
-    runs (the simulator is deterministic, so shorter runs suffice for
-    stable percentiles). *)
+    priority — a scaled-down version of §5.1's 60 s / 10 s runs (the
+    simulator is deterministic, so shorter runs suffice for stable
+    percentiles). *)
 
 type result = {
   high_latencies_ms : float array;  (** committed high-priority, in-window *)
@@ -40,7 +39,7 @@ type result = {
           for recovery-time analysis around an injected fault *)
   committed_high : int;
   committed_low : int;
-  failed : int;  (** gave up after [max_retries] *)
+  failed : int;  (** gave up after 100 attempts *)
   unfinished : int;  (** still incomplete when the run was cut off — should be ~0 *)
   total_attempts : int;
   total_aborts : int;

@@ -95,7 +95,7 @@ let test_cut_through () =
    timer. *)
 let test_size_cap_flush () =
   let engine, net = make_net () in
-  let config = { Rpc.Batcher.default_config with Rpc.Batcher.max_msgs = 4 } in
+  let config = { Rpc.Batcher.max_msgs = 4 } in
   let batcher = Rpc.Batcher.create ~net ~config () in
   let delivered = ref 0 in
   Network.send net ~src:0 ~dst:8 ~bytes:200_000 (fun () -> ());

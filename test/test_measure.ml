@@ -40,7 +40,7 @@ let make_world () =
 
 let test_proxy_estimates_owd () =
   let engine, net, clock = make_world () in
-  let proxy = Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 0; 1 |] () in
+  let proxy = Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 0; 1 |] in
   Engine.run_until engine (Sim_time.seconds 2.);
   (* VA -> SG one-way delay is 107ms; the p95 estimate (which includes up to
      ~2ms of clock skew) must land close. *)
@@ -66,7 +66,7 @@ let test_proxy_tracks_p95_not_mean () =
   let cpus = Array.init 3 (fun _ -> Cpu.create engine) in
   let net = Network.create ~engine ~rng ~topo ~node_dc ~cpus () in
   let clock = Clock.create ~rng ~max_skew:Sim_time.zero ~n_nodes:3 in
-  let proxy = Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 1 |] () in
+  let proxy = Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 1 |] in
   Engine.run_until engine (Sim_time.seconds 3.);
   (match Measure.Proxy.estimate_us proxy ~target:1 with
   | Some est ->
@@ -78,8 +78,8 @@ let test_proxy_tracks_p95_not_mean () =
 
 let test_delay_cache_follows_proxy () =
   let engine, net, clock = make_world () in
-  let proxy = Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 0; 1 |] () in
-  let cache = Measure.Delay_cache.create ~engine ~net ~node:3 ~proxy () in
+  let proxy = Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 0; 1 |] in
+  let cache = Measure.Delay_cache.create ~engine ~net ~node:3 ~proxy in
   Alcotest.(check (option (float 0.1))) "cold cache" None
     (Measure.Delay_cache.estimate_us cache ~target:1);
   Engine.run_until engine (Sim_time.seconds 2.);

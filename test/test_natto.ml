@@ -176,26 +176,22 @@ let test_promotion_mitigates_starvation () =
   Alcotest.(check bool) "promotions happen" true (stats.Natto.Protocol.promotions > 0)
 
 let test_timestamp_order_invariant () =
-  (* Run every variant under contention with the protocol's internal
-     invariant checker on: preparing ahead of a conflicting earlier
-     transaction raises. *)
-  Unix.putenv "NATTO_CHECK_INVARIANTS" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "NATTO_CHECK_INVARIANTS" "")
-    (fun () ->
-      List.iter
-        (fun features ->
-          let r, _ = run_with ~features ~seed:51 () in
-          Alcotest.(check int)
-            (Natto.Features.name features ^ " all resolved")
-            0 r.Workload.Driver.unfinished)
-        [
-          Natto.Features.ts;
-          Natto.Features.lecsf;
-          Natto.Features.pa;
-          Natto.Features.cp;
-          Natto.Features.recsf;
-        ])
+  (* Run every variant under contention; [make_with_stats] checks the
+     protocol's internal invariant on every prepare, so preparing ahead of
+     a conflicting earlier transaction raises. *)
+  List.iter
+    (fun features ->
+      let r, _ = run_with ~features ~seed:51 () in
+      Alcotest.(check int)
+        (Natto.Features.name features ^ " all resolved")
+        0 r.Workload.Driver.unfinished)
+    [
+      Natto.Features.ts;
+      Natto.Features.lecsf;
+      Natto.Features.pa;
+      Natto.Features.cp;
+      Natto.Features.recsf;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end prioritization property *)

@@ -9,16 +9,14 @@ type fixture = {
 }
 
 (* Three replicas: leader in DC0 (VA), followers in DC1 (WA) and DC2 (PR). *)
-let make ?initial_leader ?(config = Raft.Node.default_config) () =
+let make ?initial_leader () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:21 in
   let topo = Topology.azure5 in
   let node_dc = [| 0; 1; 2 |] in
   let cpus = Array.init 3 (fun _ -> Cpu.create engine) in
   let net = Network.create ~engine ~rng ~topo ~node_dc ~cpus () in
-  let group =
-    Raft.Group.create ~engine ~net ~rng ~config ~members:[| 0; 1; 2 |] ?initial_leader ()
-  in
+  let group = Raft.Group.create ~engine ~net ~rng ~members:[| 0; 1; 2 |] ?initial_leader () in
   { engine; group }
 
 let test_forced_leader () =
