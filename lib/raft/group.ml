@@ -102,12 +102,20 @@ let replication_lag t =
 let crash t id = Node.crash (node t id)
 let restart t id = Node.restart (node t id)
 
+(* Entries at or below any member's base are held by every member, so the
+   logs agree once they match above the highest base among them. *)
 let converged t =
   let live = List.filter (fun (_, n) -> not (Node.is_stopped n)) t.nodes in
   match live with
   | [] -> true
   | (_, first) :: rest ->
-      let reference = Node.log_entries first and commit = Node.commit_index first in
+      let base = List.fold_left (fun acc (_, n) -> max acc (Node.log_base n)) 0 live in
+      let above n =
+        List.filter (fun (e : Types.entry) -> e.index > base) (Node.log_entries n)
+      in
+      let reference = above first in
+      let length = Node.log_length first and commit = Node.commit_index first in
       List.for_all
-        (fun (_, n) -> Node.log_entries n = reference && Node.commit_index n = commit)
+        (fun (_, n) ->
+          Node.log_length n = length && Node.commit_index n = commit && above n = reference)
         rest

@@ -54,4 +54,6 @@ val restart : t -> int -> unit
 
 val converged : t -> bool
 (** True when all live members have identical logs and commit indices —
-    used by tests to check replication convergence. *)
+    used by tests to check replication convergence. Compacted prefixes are
+    held by every member by construction, so the retained entries are
+    compared above the highest compaction base among the members. *)

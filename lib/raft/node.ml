@@ -16,7 +16,12 @@ type t = {
   mutable term : int;
   mutable voted_for : int option;
   mutable role : role;
-  log : Types.entry Vec.t;
+  log : Types.entry Vec.t;  (** entries [base + 1 .. last_log_index] *)
+  mutable base : int;
+      (** highest compacted index: every member holds the log up to here,
+          so the entries are dropped and only their count and the last
+          one's term are kept *)
+  mutable base_term : int;
   mutable commit_index : int;
   next_index : (int, int) Hashtbl.t;
   match_index : (int, int) Hashtbl.t;
@@ -32,6 +37,13 @@ type t = {
           replication round (one in flight per peer); off by default *)
   inflight : (int, unit) Hashtbl.t;
       (** group-commit mode: peers with an unacknowledged AppendEntries *)
+  mutable seq : int;  (** AppendEntries sent by this node so far *)
+  unanswered : (int, int Vec.t) Hashtbl.t;
+      (** leader: per peer, flat (seq, prev_index) pairs, oldest first, of
+          appends sent this term whose reply may still arrive; consecutive
+          appends with the same prev_index share one pair holding the
+          latest seq. Connections are FIFO, so a reply to [seq] settles
+          every earlier append to that peer: answered or lost. *)
 }
 
 let create ~engine ~rng ~id ~peers =
@@ -45,6 +57,8 @@ let create ~engine ~rng ~id ~peers =
     voted_for = None;
     role = Follower;
     log = Vec.create ();
+    base = 0;
+    base_term = 0;
     commit_index = 0;
     next_index = Hashtbl.create 7;
     match_index = Hashtbl.create 7;
@@ -57,6 +71,8 @@ let create ~engine ~rng ~id ~peers =
     fired_up_to = 0;
     group_commit = false;
     inflight = Hashtbl.create 7;
+    seq = 0;
+    unanswered = Hashtbl.create 7;
   }
 
 let set_transport t send = t.send <- send
@@ -67,8 +83,24 @@ let set_group_commit t on = t.group_commit <- on
 let group_commit_max_entries = 256
 
 let majority t = (Array.length t.peers / 2) + 1
-let last_log_index t = Vec.length t.log
-let entry_term t i = if i = 0 then 0 else (Vec.get t.log (i - 1)).Types.term
+let last_log_index t = t.base + Vec.length t.log
+let entry t i = Vec.get t.log (i - t.base - 1)
+
+let entry_term t i =
+  if i > t.base then (entry t i).Types.term
+  else if i = t.base then t.base_term
+  else invalid_arg "Raft.Node.entry_term: compacted index"
+
+(* Drops the log prefix up to [upto], capped at the commit index. Callers
+   pass a watermark every member already holds, which no conflict can
+   truncate and, at the leader, no append will resend. *)
+let compact t upto =
+  let upto = Stdlib.min upto t.commit_index in
+  if upto > t.base then begin
+    t.base_term <- entry_term t upto;
+    Vec.drop_front t.log (upto - t.base);
+    t.base <- upto
+  end
 
 let cancel_timer = function Some h -> Engine.cancel h | None -> ()
 
@@ -111,6 +143,7 @@ and become_leader t =
   t.role <- Leader;
   t.leader_hint <- Some t.id;
   Hashtbl.reset t.inflight;
+  Hashtbl.reset t.unanswered;
   cancel_timer t.election_timer;
   t.election_timer <- None;
   Array.iter
@@ -146,10 +179,25 @@ and send_append t peer =
   let entries =
     let rec collect i acc =
       if i > last_log_index t || i > limit then List.rev acc
-      else collect (i + 1) (Vec.get t.log (i - 1) :: acc)
+      else collect (i + 1) (entry t i :: acc)
     in
     collect next []
   in
+  t.seq <- t.seq + 1;
+  let pending =
+    match Hashtbl.find_opt t.unanswered peer with
+    | Some v -> v
+    | None ->
+        let v = Vec.create () in
+        Hashtbl.replace t.unanswered peer v;
+        v
+  in
+  let n = Vec.length pending in
+  if n > 0 && Vec.get pending (n - 1) = prev_index then Vec.set pending (n - 2) t.seq
+  else begin
+    Vec.push pending t.seq;
+    Vec.push pending prev_index
+  end;
   t.send ~dst:peer
     (Types.Append_entries
        {
@@ -159,6 +207,8 @@ and send_append t peer =
          prev_term = entry_term t prev_index;
          entries;
          leader_commit = t.commit_index;
+         watermark = t.base;
+         seq = t.seq;
        });
   (* Pipelining (as in etcd/raft): advance next_index optimistically so the
      suffix is not resent on every subsequent append; a failure reply resets
@@ -195,6 +245,31 @@ let fire_committed_callbacks t =
   in
   fire (t.fired_up_to + 1)
 
+(* The leader's compaction watermark: the lowest match index over all
+   members, crashed ones included, so a lagging peer keeps what it lacks —
+   and no higher than any peer's next index, or the prev index of any
+   append whose reply may still arrive, so every append the leader will
+   send starts above it: a stale reply (under group commit a capped resend
+   can cover a lower range than an append acknowledged before it) moves a
+   next index back, but never below the prev index it was sent with. *)
+let held_by_all t =
+  let last = last_log_index t in
+  Array.fold_left
+    (fun acc peer ->
+      let acc = Stdlib.min acc (try Hashtbl.find t.match_index peer with Not_found -> 0) in
+      if peer = t.id then acc
+      else
+        let next = try Hashtbl.find t.next_index peer with Not_found -> last + 1 in
+        let acc = ref (Stdlib.min acc (next - 1)) in
+        (match Hashtbl.find_opt t.unanswered peer with
+        | Some pending ->
+            for i = 0 to (Vec.length pending / 2) - 1 do
+              acc := Stdlib.min !acc (Vec.get pending ((2 * i) + 1))
+            done
+        | None -> ());
+        !acc)
+    max_int t.peers
+
 let advance_commit t =
   let n = last_log_index t in
   let best = ref t.commit_index in
@@ -213,7 +288,8 @@ let advance_commit t =
   if !best > t.commit_index then begin
     t.commit_index <- !best;
     fire_committed_callbacks t
-  end
+  end;
+  compact t (held_by_all t)
 
 (* --- message handling --- *)
 
@@ -243,16 +319,21 @@ let handle_vote t ~term ~from ~granted =
     if List.length t.votes_granted >= majority t then become_leader t
   end
 
-let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leader_commit =
+let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leader_commit
+    ~watermark ~seq =
   if term > t.term || (term = t.term && t.role = Candidate) then become_follower t ~term;
   if term < t.term then
     t.send ~dst:leader
       (Types.Append_reply
-         { term = t.term; from = t.id; success = false; match_index = 0; hint_index = 0 })
+         { term = t.term; from = t.id; success = false; match_index = 0; hint_index = 0; seq })
   else begin
     t.leader_hint <- Some leader;
     reset_election_timer t;
-    let log_ok = prev_index = 0 || (prev_index <= last_log_index t && entry_term t prev_index = prev_term) in
+    (* The compacted prefix is held by every member, so it matches. *)
+    let log_ok =
+      prev_index <= t.base
+      || (prev_index <= last_log_index t && entry_term t prev_index = prev_term)
+    in
     if not log_ok then begin
       let hint = Stdlib.min prev_index (last_log_index t + 1) in
       t.send ~dst:leader
@@ -263,15 +344,17 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leade
              success = false;
              match_index = 0;
              hint_index = Stdlib.max 1 hint;
+             seq;
            })
     end
     else begin
       List.iter
         (fun (e : Types.entry) ->
-          if e.index <= last_log_index t then begin
+          if e.index <= t.base then ()
+          else if e.index <= last_log_index t then begin
             if entry_term t e.index <> e.term then begin
               (* Conflict: truncate our log from this point and append. *)
-              Vec.truncate t.log (e.index - 1);
+              Vec.truncate t.log (e.index - t.base - 1);
               Vec.push t.log e
             end
           end
@@ -285,15 +368,23 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leade
         t.commit_index <- Stdlib.min leader_commit (last_log_index t);
         fire_committed_callbacks t
       end;
+      compact t watermark;
       t.send ~dst:leader
         (Types.Append_reply
-           { term = t.term; from = t.id; success = true; match_index; hint_index = 0 })
+           { term = t.term; from = t.id; success = true; match_index; hint_index = 0; seq })
     end
   end
 
-let handle_append_reply t ~term ~from ~success ~match_index ~hint_index =
+let handle_append_reply t ~term ~from ~success ~match_index ~hint_index ~seq =
   if term > t.term then become_follower t ~term
   else if t.role = Leader && term = t.term then begin
+    (match Hashtbl.find_opt t.unanswered from with
+    | Some pending ->
+        let rec settled i =
+          if i < Vec.length pending && Vec.get pending i <= seq then settled (i + 2) else i
+        in
+        Vec.drop_front pending (settled 0)
+    | None -> ());
     if success then begin
       let prev = try Hashtbl.find t.match_index from with Not_found -> 0 in
       if match_index > prev then Hashtbl.replace t.match_index from match_index;
@@ -322,10 +413,12 @@ let receive t msg =
     | Types.Request_vote { term; candidate; last_log_index; last_log_term } ->
         handle_request_vote t ~term ~candidate ~last_log_index ~last_log_term
     | Types.Vote { term; from; granted } -> handle_vote t ~term ~from ~granted
-    | Types.Append_entries { term; leader; prev_index; prev_term; entries; leader_commit } ->
+    | Types.Append_entries
+        { term; leader; prev_index; prev_term; entries; leader_commit; watermark; seq } ->
         handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leader_commit
-    | Types.Append_reply { term; from; success; match_index; hint_index } ->
-        handle_append_reply t ~term ~from ~success ~match_index ~hint_index
+          ~watermark ~seq
+    | Types.Append_reply { term; from; success; match_index; hint_index; seq } ->
+        handle_append_reply t ~term ~from ~success ~match_index ~hint_index ~seq
 
 (* --- public API --- *)
 
@@ -374,6 +467,7 @@ let role t = t.role
 let term t = t.term
 let commit_index t = t.commit_index
 let log_length t = last_log_index t
+let log_base t = t.base
 let log_entries t = Vec.to_list t.log
 let leader_hint t = t.leader_hint
 let is_stopped t = t.stopped

@@ -7,6 +7,16 @@
     current term. Crash/restart preserves persistent state (term, vote, log)
     and discards volatile state, modelling a process with durable storage.
 
+    The log is compacted: entries at or below the lowest match index over
+    all members (and the commit index) are dropped, first at the leader,
+    then at each follower when an AppendEntries carries that watermark. A
+    node keeps the dropped prefix's length and last term, so indices, terms
+    and {!log_length} keep their meaning; an entry some member still lacks,
+    or that an append still in flight may make the leader resend, is never
+    dropped, so a crashed or lagging follower catches up by plain
+    AppendEntries, with no snapshot, and the messages sent are exactly
+    those of a leader that keeps its whole log.
+
     Nodes are wired together by {!Group}, which provides the [send]
     transport over the simulated network. *)
 
@@ -63,6 +73,13 @@ val role : t -> role
 val term : t -> int
 val commit_index : t -> int
 val log_length : t -> int
+(** Index of the last log entry, compacted ones included. *)
+
+val log_base : t -> int
+(** Index of the last compacted entry (0 before any compaction). *)
+
 val log_entries : t -> Types.entry list
+(** The retained entries, [log_base + 1 .. log_length]. *)
+
 val leader_hint : t -> int option
 val is_stopped : t -> bool

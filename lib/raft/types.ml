@@ -20,6 +20,8 @@ type message =
       prev_term : int;
       entries : entry list;
       leader_commit : int;
+      watermark : int;
+      seq : int;
     }
   | Append_reply of {
       term : int;
@@ -27,6 +29,7 @@ type message =
       success : bool;
       match_index : int;
       hint_index : int;
+      seq : int;
     }
 
 let message_bytes = function

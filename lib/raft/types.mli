@@ -28,6 +28,10 @@ type message =
       prev_term : int;
       entries : entry list;
       leader_commit : int;
+      watermark : int;
+          (** every member holds the log up to here, so the receiver may
+              drop that prefix *)
+      seq : int;  (** the sender's append counter, echoed by the reply *)
     }
   | Append_reply of {
       term : int;
@@ -35,7 +39,10 @@ type message =
       success : bool;
       match_index : int;  (** highest replicated index on success *)
       hint_index : int;  (** next-index backoff hint on failure *)
+      seq : int;  (** [seq] of the AppendEntries this answers *)
     }
 
 val message_bytes : message -> int
-(** Approximate wire size, fed to the network model. *)
+(** Approximate wire size, fed to the network model. The [watermark] and
+    [seq] fields are not counted: they serve the simulator's log
+    compaction, not the modelled protocol. *)

@@ -38,6 +38,25 @@ let truncate t n =
   if n < 0 || n > t.size then invalid_arg "Vec.truncate";
   t.size <- n
 
+let drop_front t n =
+  if n < 0 || n > t.size then invalid_arg "Vec.drop_front";
+  if n > 0 then begin
+    let size = t.size - n in
+    let cap = Array.length t.data in
+    if cap > 8 && 4 * size <= cap then begin
+      let data = Array.make (Stdlib.max 8 (2 * size)) t.data.(n - 1) in
+      Array.blit t.data n data 0 size;
+      t.data <- data
+    end
+    else begin
+      Array.blit t.data n t.data 0 size;
+      (* Overwrite the vacated tail so the array keeps no dropped element
+         alive, bar one when the vector is now empty. *)
+      Array.fill t.data size n t.data.(0)
+    end;
+    t.size <- size
+  end
+
 let last t = if t.size = 0 then None else Some t.data.(t.size - 1)
 
 let iter f t =

@@ -12,6 +12,11 @@ val truncate : 'a t -> int -> unit
 (** [truncate t n] drops elements so that [length t = n]. Requires
     [n <= length t]. *)
 
+val drop_front : 'a t -> int -> unit
+(** [drop_front t n] removes the first [n] elements, shifting the rest
+    down; a backing array of more than 8 slots shrinks when a quarter or
+    less of it stays in use. Requires [0 <= n <= length t]. *)
+
 val last : 'a t -> 'a option
 val iter : ('a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list

@@ -27,6 +27,9 @@ type txn_state = {
 type t = {
   policy : policy;
   keys : (int, key_state) Hashtbl.t;
+      (** keys with a holder or a queued request; a key that has neither
+          is dropped, so the table tracks in-flight locks, not every key
+          ever locked *)
   txns : (int, txn_state) Hashtbl.t;
   mutable abort_handler : key:int -> int -> unit;
   mutable next_seq : int;
@@ -100,7 +103,7 @@ let add_holder t ks req =
 let rec grant_scan t key =
   let ks = key_state t key in
   match ks.queue with
-  | [] -> ()
+  | [] -> if ks.holders = [] then Hashtbl.remove t.keys key
   | req :: rest -> (
       match Hashtbl.find_opt t.txns req.txn with
       | None ->
@@ -277,6 +280,8 @@ let blocker_of t ~txn ~key ~exclusive =
 
 let wounds t = t.wounds
 let preempts t = t.preempts
+
+let key_count t = Hashtbl.length t.keys
 
 let waiting_txns t =
   Hashtbl.fold (fun _ st acc -> if st.waits <> [] then acc + 1 else acc) t.txns 0

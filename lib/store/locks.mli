@@ -74,6 +74,11 @@ val preempts : t -> int
     high-priority requester under the [Preempt]/[Preempt_on_wait] policies.
     Disjoint from {!wounds}. *)
 
+val key_count : t -> int
+(** Keys with a holder or a queued request. A key is dropped from the table
+    as soon as it has neither, so this is 0 once every transaction has
+    released. *)
+
 val waiting_txns : t -> int
 (** Live transactions currently waiting on at least one lock — the
     wait-queue depth gauge. *)

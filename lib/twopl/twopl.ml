@@ -28,15 +28,12 @@ type server = {
   locks : Store.Locks.t;
   kv : Store.Kv.t;
   live : (int, live_rec) Hashtbl.t;
-  tombstones : (int, unit) Hashtbl.t;
+  tombstones : Simcore.Bitset.t;  (** finished attempt ids *)
 }
 
-type coord = {
-  client : int;
-  n_participants : int;
-  mutable ok_votes : int;
-  mutable decided : bool;
-}
+(* An undecided attempt's coordinator record. A decided one keeps only its
+   bit in [decided], which is all a late vote or abort notice reads. *)
+type coord = { mutable ok_votes : int; mutable decided : bool }
 
 (* Wound-wait cannot resolve cycles through prepared (pinned) transactions —
    one can be prepared at a server where it holds locks and waiting at
@@ -57,7 +54,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     | Some r ->
         r.gone <- true;
         Hashtbl.remove server.live txn_id;
-        Hashtbl.replace server.tombstones txn_id ();
+        Simcore.Bitset.add server.tombstones txn_id;
         Store.Locks.release_all server.locks ~txn:txn_id;
         (* Tell the aborted transaction's client, naming the contended key
            so the retry can resume from the first invalidated read. *)
@@ -74,7 +71,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
             locks = Store.Locks.create ~policy:(policy_of variant) ();
             kv = Store.Kv.create ();
             live = Hashtbl.create 256;
-            tombstones = Hashtbl.create 256;
+            tombstones = Simcore.Bitset.create ();
           }
         in
         Store.Locks.set_abort_handler s.locks (fun ~key txn_id -> abort_locally s ~key txn_id);
@@ -153,18 +150,27 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
              if (not !granted) && not r.gone then abort_locally server ~key r.txn_id))
   in
   let coords : (int, coord) Hashtbl.t = Hashtbl.create 4096 in
-  let coord_state ~txn_id ~client ~n_participants =
-    match Hashtbl.find_opt coords txn_id with
-    | Some c -> c
-    | None ->
-        let c = { client; n_participants; ok_votes = 0; decided = false } in
-        Hashtbl.replace coords txn_id c;
-        c
+  let decided = Simcore.Bitset.create () in
+  let decided_coord = { ok_votes = 0; decided = true } in
+  let coord_state txn_id =
+    if Simcore.Bitset.mem decided txn_id then decided_coord
+    else
+      match Hashtbl.find_opt coords txn_id with
+      | Some c -> c
+      | None ->
+          let c = { ok_votes = 0; decided = false } in
+          Hashtbl.replace coords txn_id c;
+          c
+  in
+  let decide txn_id c =
+    c.decided <- true;
+    Hashtbl.remove coords txn_id;
+    Simcore.Bitset.add decided txn_id
   in
   let server_release server txn_id =
     (* Tombstone unconditionally: attempt ids are never reused, and a late
        Prepare for a finished transaction must not re-acquire locks. *)
-    Hashtbl.replace server.tombstones txn_id ();
+    Simcore.Bitset.add server.tombstones txn_id;
     (match Hashtbl.find_opt server.live txn_id with
     | Some r ->
         r.gone <- true;
@@ -196,9 +202,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
           participants;
         send ~src:client ~dst:coordinator
           ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
-          (fun () ->
-            let c = coord_state ~txn_id ~client ~n_participants:n in
-            c.decided <- true);
+          (fun () -> decide txn_id (coord_state txn_id));
         finish ~committed:false
       end
     in
@@ -217,9 +221,9 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     in
     (* ---- phase 3: coordinator decision ---- *)
     let coord_commit pairs =
-      let c = coord_state ~txn_id ~client ~n_participants:n in
+      let c = coord_state txn_id in
       if not c.decided then begin
-        c.decided <- true;
+        decide txn_id c;
         Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
         Raft.Group.replicate
           (Cluster.coordinator_group cluster ~client)
@@ -253,7 +257,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     in
     (* ---- phase 2: 2PC prepare driven by the coordinator ---- *)
     let start_prepare pairs =
-      let c = coord_state ~txn_id ~client ~n_participants:n in
+      let c = coord_state txn_id in
       List.iter
         (fun p ->
           let server = servers.(p) in
@@ -263,7 +267,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
             ~msg:
               (Msg.read_prepare ~txn:txn_id ~reads:0 ~writes:(List.length write_keys) ())
             (fun () ->
-              if Hashtbl.mem server.tombstones txn_id then ()
+              if Simcore.Bitset.mem server.tombstones txn_id then ()
               else begin
                 let r = live_at server in
                 let needed = List.length write_keys in
@@ -327,7 +331,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
               (Msg.read_prepare ~txn:txn_id ~reads:(Array.length keys) ~writes:0
                  ~extra:(Exec.claim_extra_bytes claims) ())
             (fun () ->
-              if Hashtbl.mem server.tombstones txn_id then ()
+              if Simcore.Bitset.mem server.tombstones txn_id then ()
               else begin
                 let r = live_at server in
                 let needed = Array.length keys in
@@ -371,4 +375,12 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
               end))
         read_partitions
   in
-  System.make ~name:(name_of variant) ~submit
+  let retained () =
+    [
+      ("coordinator records", Hashtbl.length coords);
+      ("live attempt records", Array.fold_left (fun n s -> n + Hashtbl.length s.live) 0 servers);
+      ( "lock-table keys",
+        Array.fold_left (fun n s -> n + Store.Locks.key_count s.locks) 0 servers );
+    ]
+  in
+  { (System.make ~name:(name_of variant) ~submit) with System.retained }

@@ -3,9 +3,13 @@ type t = {
   submit : Txn.t -> on_done:(committed:bool -> unit) -> unit;
   deterministic : bool;
   spec_aborts : (unit -> int) option;
+  retained : unit -> (string * int) list;
 }
 
-let make ~name ~submit = { name; submit; deterministic = false; spec_aborts = None }
+let nothing_retained () = []
+
+let make ~name ~submit =
+  { name; submit; deterministic = false; spec_aborts = None; retained = nothing_retained }
 
 let make_deterministic ~name ~spec_aborts ~submit =
-  { name; submit; deterministic = true; spec_aborts = Some spec_aborts }
+  { name; submit; deterministic = true; spec_aborts = Some spec_aborts; retained = nothing_retained }

@@ -13,6 +13,11 @@ type t = {
   spec_aborts : (unit -> int) option;
       (** cumulative count of in-epoch speculative re-executions, the
           deterministic family's replacement for client-visible retries *)
+  retained : unit -> (string * int) list;
+      (** named counts of the family's long-lived per-attempt records
+          (coordinator records, lock-table keys, ...): what a drained run
+          must have let go of. Empty for families that report none;
+          {!make} and {!make_deterministic} set it so. *)
 }
 
 val make : name:string -> submit:(Txn.t -> on_done:(committed:bool -> unit) -> unit) -> t

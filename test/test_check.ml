@@ -308,6 +308,194 @@ let test_intact_twopl_clean () =
   let report = Check.Checker.check history in
   Alcotest.(check int) "no violations" 0 (List.length report.Check.Checker.violations)
 
+(* ------------------------------------------------------------------ *)
+(* The recorder against a reference model of its semantics, kept as
+   obvious as possible: a hash table of reads per transaction, write pairs
+   as a list, per-key install lists and a tuple-keyed slot set. *)
+
+module Reference = struct
+  type pending = {
+    mutable start : int;
+    reads : (int, int) Hashtbl.t;
+    mutable writes : (int * int) list;
+    mutable decided : bool;
+    mutable commit : int option;
+  }
+
+  type t = {
+    pend : (int, pending) Hashtbl.t;
+    key_order : (int, int list ref) Hashtbl.t;
+    slotted : (int * int, unit) Hashtbl.t;
+  }
+
+  let create () =
+    { pend = Hashtbl.create 64; key_order = Hashtbl.create 64; slotted = Hashtbl.create 256 }
+
+  let pending t txn =
+    match Hashtbl.find_opt t.pend txn with
+    | Some p -> p
+    | None ->
+        let p =
+          { start = 0; reads = Hashtbl.create 4; writes = []; decided = false; commit = None }
+        in
+        Hashtbl.add t.pend txn p;
+        p
+
+  let start t ~txn ~at = (pending t txn).start <- at
+
+  let read t ~weak ~txn ~key ~writer =
+    let p = pending t txn in
+    if not (weak && Hashtbl.mem p.reads key) then Hashtbl.replace p.reads key writer
+
+  let write_set t ~txn ~pairs =
+    let p = pending t txn in
+    if not p.decided then begin
+      p.decided <- true;
+      p.writes <- pairs
+    end
+
+  let applied t ~txn ~key =
+    if not (Hashtbl.mem t.slotted (txn, key)) then begin
+      Hashtbl.replace t.slotted (txn, key) ();
+      match Hashtbl.find_opt t.key_order key with
+      | Some order -> order := txn :: !order
+      | None -> Hashtbl.add t.key_order key (ref [ txn ])
+    end
+
+  let committed t ~txn ~at = (pending t txn).commit <- Some at
+
+  let aborted t ~txn =
+    match Hashtbl.find_opt t.pend txn with
+    | Some p when not p.decided -> Hashtbl.remove t.pend txn
+    | _ -> ()
+
+  (* Acknowledged transactions, plus decided ones an included transaction
+     read from, to a fixpoint; in-doubt writers keep a key's slot only if
+     an included transaction read that write. *)
+  let history t : Check.History.t =
+    let included = Hashtbl.create 16 in
+    let rec include_ id =
+      match Hashtbl.find_opt t.pend id with
+      | Some p when not (Hashtbl.mem included id) ->
+          Hashtbl.replace included id ();
+          Hashtbl.iter
+            (fun _ w ->
+              match Hashtbl.find_opt t.pend w with
+              | Some wp when wp.decided -> include_ w
+              | _ -> ())
+            p.reads
+      | _ -> ()
+    in
+    Hashtbl.iter (fun id p -> if p.commit <> None then include_ id) t.pend;
+    let observed key w =
+      Hashtbl.fold
+        (fun id p acc ->
+          acc || (Hashtbl.mem included id && Hashtbl.find_opt p.reads key = Some w))
+        t.pend false
+    in
+    let keep key w =
+      Hashtbl.mem included w
+      && ((match Hashtbl.find_opt t.pend w with Some p -> p.commit <> None | None -> false)
+         || observed key w)
+    in
+    let txns =
+      Hashtbl.fold
+        (fun id p acc ->
+          if Hashtbl.mem included id then
+            {
+              Check.History.id;
+              start = p.start;
+              commit = p.commit;
+              reads =
+                Hashtbl.fold (fun r_key r_writer acc -> { Check.History.r_key; r_writer } :: acc)
+                  p.reads []
+                |> List.sort (fun a b -> compare a.Check.History.r_key b.Check.History.r_key);
+              writes = List.stable_sort (fun (a, _) (b, _) -> compare a b) p.writes;
+            }
+            :: acc
+          else acc)
+        t.pend []
+      |> List.sort (fun a b -> compare a.Check.History.id b.Check.History.id)
+      |> Array.of_list
+    in
+    let key_writers = Hashtbl.create (Hashtbl.length t.key_order) in
+    Hashtbl.iter
+      (fun key order ->
+        let writers = List.filter (keep key) (List.rev !order) in
+        if writers <> [] then Hashtbl.add key_writers key (Array.of_list writers))
+      t.key_order;
+    { Check.History.txns; key_writers }
+end
+
+type rec_op =
+  | Start of int * int
+  | Read of int * int * int * bool  (** txn, key, writer, weak *)
+  | Write_set of int * (int * int) list
+  | Applied of int * int
+  | Committed of int * int
+  | Aborted of int
+
+let rec_op_print = function
+  | Start (t, at) -> Printf.sprintf "start %d@%d" t at
+  | Read (t, k, w, weak) -> Printf.sprintf "read%s %d k%d<-%d" (if weak then "~" else "") t k w
+  | Write_set (t, ps) ->
+      Printf.sprintf "write_set %d [%s]" t
+        (String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "k%d=%d" k v) ps))
+  | Applied (t, k) -> Printf.sprintf "applied %d k%d" t k
+  | Committed (t, at) -> Printf.sprintf "committed %d@%d" t at
+  | Aborted t -> Printf.sprintf "aborted %d" t
+
+let rec_op_gen =
+  QCheck.Gen.(
+    let txn = int_range 1 6 and key = int_bound 4 in
+    frequency
+      [
+        (2, map2 (fun t at -> Start (t, at)) txn (int_bound 1000));
+        ( 4,
+          map3 (fun t (k, w) weak -> Read (t, k, w, weak)) txn (pair key (int_bound 6)) bool );
+        (2, map2 (fun t ps -> Write_set (t, ps)) txn (list_size (int_bound 3) (pair key nat)));
+        (3, map2 (fun t k -> Applied (t, k)) txn key);
+        (2, map2 (fun t at -> Committed (t, at)) txn (int_bound 1000));
+        (1, map (fun t -> Aborted t) txn);
+      ])
+
+let history_bindings (h : Check.History.t) =
+  (h.Check.History.txns, Hashtbl.fold (fun k w acc -> (k, w) :: acc) h.Check.History.key_writers [])
+
+let prop_recorder_matches_reference =
+  QCheck.Test.make ~name:"recorder matches the reference model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat ", " (List.map rec_op_print ops))
+       QCheck.Gen.(list_size (int_bound 40) rec_op_gen))
+    (fun ops ->
+      let r = Check.Recorder.create () in
+      Check.Recorder.enable r;
+      let m = Reference.create () in
+      List.iter
+        (function
+          | Start (txn, at) ->
+              Check.Recorder.start r ~txn ~at;
+              Reference.start m ~txn ~at
+          | Read (txn, key, writer, weak) ->
+              Check.Recorder.read ~weak r ~txn ~key ~writer;
+              Reference.read m ~weak ~txn ~key ~writer
+          | Write_set (txn, pairs) ->
+              Check.Recorder.write_set r ~txn ~pairs;
+              Reference.write_set m ~txn ~pairs
+          | Applied (txn, key) ->
+              Check.Recorder.applied r ~txn ~key;
+              Reference.applied m ~txn ~key
+          | Committed (txn, at) ->
+              Check.Recorder.committed r ~txn ~at;
+              Reference.committed m ~txn ~at
+          | Aborted txn ->
+              Check.Recorder.aborted r ~txn;
+              Reference.aborted m ~txn)
+        ops;
+      (* Same transactions, and the same key orders in the same table
+         iteration order. *)
+      history_bindings (Check.Recorder.history r) = history_bindings (Reference.history m))
+
 let () =
   Alcotest.run "check"
     [
@@ -324,6 +512,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_serial_histories_pass;
           QCheck_alcotest.to_alcotest prop_swapped_version_order_caught;
+          QCheck_alcotest.to_alcotest prop_recorder_matches_reference;
         ] );
       ( "end-to-end",
         List.map

@@ -90,6 +90,101 @@ let test_crashed_follower_catches_up () =
     (Raft.Node.log_length (Raft.Group.node f.group 2));
   Alcotest.(check bool) "converged" true (Raft.Group.converged f.group)
 
+(* Compaction keeps every entry some member lacks: a follower down for
+   hundreds of entries comes back to an identical log by plain appends. *)
+let test_long_crash_catches_up () =
+  let f = make ~initial_leader:0 () in
+  let n = 600 and before = 100 in
+  (* [before] entries reach every member, then follower 2 crashes for the
+     rest. *)
+  for i = 1 to n do
+    let at = if i <= before then 10. +. float_of_int i else 1000. +. float_of_int i in
+    ignore
+      (Engine.schedule_at f.engine (Sim_time.ms at) (fun () ->
+           Raft.Group.replicate f.group ~size:64 ~tag:i ~on_committed:(fun () -> ()) ()))
+  done;
+  ignore (Engine.schedule_at f.engine (Sim_time.ms 900.) (fun () -> Raft.Group.crash f.group 2));
+  let leader = Raft.Group.node f.group 0 and lagging = Raft.Group.node f.group 2 in
+  ignore
+    (Engine.schedule_at f.engine (Sim_time.seconds 3.) (fun () ->
+         (* The leader dropped what all three hold and keeps everything the
+            crashed follower lacks. *)
+         Alcotest.(check int) "leader log while follower down" n (Raft.Node.log_length leader);
+         Alcotest.(check int) "compacted to the crashed follower's log" before
+           (Raft.Node.log_base leader);
+         Alcotest.(check int) "retained while follower down" (n - before)
+           (List.length (Raft.Node.log_entries leader));
+         Alcotest.(check int) "crashed follower's log" before (Raft.Node.log_length lagging);
+         Raft.Group.restart f.group 2));
+  Engine.run_until f.engine (Sim_time.seconds 30.);
+  Alcotest.(check int) "caught up" n (Raft.Node.log_length lagging);
+  Alcotest.(check int) "committed" n (Raft.Node.commit_index lagging);
+  Alcotest.(check int) "leader commit" n (Raft.Node.commit_index leader);
+  Alcotest.(check bool) "converged" true (Raft.Group.converged f.group)
+
+(* Group commit caps each append and resends from failure hints, so after a
+   follower restarts, a success reply for a lower range can arrive after one
+   for a higher range and move the follower's next index back. The leader
+   holds its watermark below every pending append, so these random
+   crash/restart schedules (seeds where a watermark from match indices
+   alone dropped entries a resend then needed) never touch a dropped
+   entry. *)
+let test_stale_replies_under_group_commit () =
+  List.iter
+    (fun seed ->
+      let engine = Engine.create () in
+      let rng = Rng.create ~seed in
+      let cpus = Array.init 3 (fun _ -> Cpu.create engine) in
+      let net =
+        Network.create ~engine ~rng ~topo:Topology.azure5 ~node_dc:[| 0; 1; 2 |] ~cpus ()
+      in
+      let group =
+        Raft.Group.create ~engine ~net ~rng ~members:[| 0; 1; 2 |] ~group_commit:true
+          ~initial_leader:0 ()
+      in
+      let faults = Rng.create ~seed:(seed + 1000) in
+      let n = 300 in
+      for i = 1 to n do
+        let at = Sim_time.ms (float_of_int ((i * 10) + Rng.int faults 5)) in
+        ignore
+          (Engine.schedule_at engine at (fun () ->
+               Raft.Group.replicate group ~size:32 ~tag:i ~on_committed:(fun () -> ()) ()))
+      done;
+      for _ = 1 to 8 do
+        let at = Sim_time.ms (float_of_int (Rng.int faults 3000)) in
+        let node = Rng.int faults 3 in
+        let back = Sim_time.add at (Sim_time.ms (float_of_int (200 + Rng.int faults 2000))) in
+        ignore (Engine.schedule_at engine at (fun () -> Raft.Group.crash group node));
+        ignore (Engine.schedule_at engine back (fun () -> Raft.Group.restart group node))
+      done;
+      ignore
+        (Engine.schedule_at engine (Sim_time.seconds 8.) (fun () ->
+             List.iter (Raft.Group.restart group) [ 0; 1; 2 ]));
+      Engine.run_until engine (Sim_time.seconds 60.);
+      (* Entries a leader took just before crashing may be lost, as in any
+         Raft deployment; every member must agree on the rest. *)
+      Alcotest.(check bool) "converged" true (Raft.Group.converged group))
+    [ 8; 34; 249 ]
+
+(* Once every member holds every entry and a heartbeat has carried the
+   watermark, no member keeps any entry at all. *)
+let test_quiescent_keeps_nothing () =
+  let f = make ~initial_leader:0 () in
+  for i = 1 to 20 do
+    ignore
+      (Engine.schedule_at f.engine (Sim_time.ms (float_of_int i)) (fun () ->
+           Raft.Group.replicate f.group ~size:64 ~tag:i ~on_committed:(fun () -> ()) ()))
+  done;
+  Engine.run_until f.engine (Sim_time.seconds 5.);
+  List.iter
+    (fun id ->
+      let n = Raft.Group.node f.group id in
+      Alcotest.(check int) "log length" 20 (Raft.Node.log_length n);
+      Alcotest.(check int) "watermark" 20 (Raft.Node.log_base n);
+      Alcotest.(check int) "retained entries" 0 (List.length (Raft.Node.log_entries n)))
+    [ 0; 1; 2 ];
+  Alcotest.(check bool) "converged" true (Raft.Group.converged f.group)
+
 let test_old_leader_steps_down () =
   let f = make ~initial_leader:0 () in
   (* Crash leader; let a new leader emerge; restart the old one. It must
@@ -139,10 +234,13 @@ let test_log_matching_safety () =
      Safety as observable in this model). *)
   let f = make ~initial_leader:0 () in
   let rng = Rng.create ~seed:77 in
+  let committed = ref [] in
   for i = 1 to 50 do
     ignore
       (Engine.schedule_at f.engine (Sim_time.ms (float_of_int (i * 20))) (fun () ->
-           Raft.Group.replicate f.group ~size:32 ~tag:i ~on_committed:(fun () -> ()) ()))
+           Raft.Group.replicate f.group ~size:32 ~tag:i
+             ~on_committed:(fun () -> committed := i :: !committed)
+             ()))
   done;
   List.iter
     (fun (at, action) ->
@@ -156,18 +254,33 @@ let test_log_matching_safety () =
     ];
   Engine.run_until f.engine (Sim_time.seconds 30.);
   Alcotest.(check bool) "logs converge after churn" true (Raft.Group.converged f.group);
-  let log = Raft.Node.log_entries (Raft.Group.node f.group 0) in
-  Alcotest.(check int) "all entries present" 50 (List.length log);
-  (* Entries appear in submission order. *)
-  let tags = List.map (fun (e : Raft.Types.entry) -> e.tag) log in
-  Alcotest.(check (list int)) "order preserved" (List.init 50 (fun i -> i + 1)) tags
+  (* Every member holds all 50 entries (the compacted prefix included), and
+     the leader committed them in submission order: commit callbacks fire
+     in log-index order. *)
+  List.iter
+    (fun id ->
+      let n = Raft.Group.node f.group id in
+      Alcotest.(check int) "all entries present" 50 (Raft.Node.log_length n);
+      Alcotest.(check int) "all entries committed" 50 (Raft.Node.commit_index n))
+    [ 0; 1; 2 ];
+  Alcotest.(check (list int)) "order preserved" (List.init 50 (fun i -> i + 1))
+    (List.rev !committed)
 
 let test_message_bytes () =
   let open Raft.Types in
   let e = { term = 1; index = 1; size = 100; tag = 0 } in
   let ae =
     Append_entries
-      { term = 1; leader = 0; prev_index = 0; prev_term = 0; entries = [ e; e ]; leader_commit = 0 }
+      {
+        term = 1;
+        leader = 0;
+        prev_index = 0;
+        prev_term = 0;
+        entries = [ e; e ];
+        leader_commit = 0;
+        watermark = 0;
+        seq = 1;
+      }
   in
   Alcotest.(check bool) "entries counted" true (message_bytes ae > 248);
   Alcotest.(check int) "vote size" 32 (message_bytes (Vote { term = 1; from = 0; granted = true }))
@@ -195,6 +308,12 @@ let () =
         [
           Alcotest.test_case "crashed follower catches up" `Quick test_crashed_follower_catches_up;
           Alcotest.test_case "log matching under churn" `Quick test_log_matching_safety;
+          Alcotest.test_case "long crash catches up through compaction" `Quick
+            test_long_crash_catches_up;
+          Alcotest.test_case "quiescent group keeps no entry" `Quick
+            test_quiescent_keeps_nothing;
+          Alcotest.test_case "stale replies under group commit" `Quick
+            test_stale_replies_under_group_commit;
         ] );
       ("wire", [ Alcotest.test_case "message sizes" `Quick test_message_bytes ]);
     ]

@@ -253,8 +253,9 @@ let prop_locks_drain_clean =
               ~on_granted:(fun () -> ()))
         ops;
       List.iter (fun txn -> Locks.release_all locks ~txn) [ 1; 2; 3; 4; 5; 6 ];
-      (* Once everything is released, a fresh transaction can take every key
-         exclusively and immediately. *)
+      (* Once everything is released the table holds no key at all, and a
+         fresh transaction can take every key exclusively and immediately. *)
+      let drained = Locks.key_count locks = 0 in
       let fresh = 1000 in
       let granted = ref 0 in
       List.iter
@@ -262,7 +263,7 @@ let prop_locks_drain_clean =
           Locks.acquire locks ~txn:fresh ~ts:fresh ~high:false ~key ~exclusive:true
             ~on_granted:(fun () -> incr granted))
         [ 0; 1; 2; 3 ];
-      !granted = 4)
+      drained && !granted = 4)
 
 let prop_locks_exclusive_never_shared =
   (* Model-based: track grants/releases through the public callbacks and
