@@ -133,13 +133,16 @@ let make (cluster : Cluster.t) : System.t =
           (* Slow path: adopt the majority result per partition and persist
              the decision at the replicas (one extra round to a majority). *)
           let ok = List.for_all majority_ok participants in
-          let acks_needed =
-            List.fold_left (fun acc p -> acc + ((Array.length replicas.(p) / 2) + 1)) 0 participants
+          (* IR makes the decision durable per partition: finalize once
+             every participant has acks from its own majority, however
+             many the faster partitions have sent. *)
+          let acks = List.map (fun p -> (p, ref 0)) participants in
+          let durable () =
+            List.for_all (fun (p, n) -> !n >= (Array.length replicas.(p) / 2) + 1) acks
           in
-          let acks = ref 0 in
           let finalized = ref false in
           List.iter
-            (fun p ->
+            (fun (p, acks_p) ->
               Array.iter
                 (fun r ->
                   send ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Control)
@@ -148,8 +151,8 @@ let make (cluster : Cluster.t) : System.t =
                       send ~src:r.node ~dst:client
                         ~msg:(Msg.control ~txn:txn_id Msg.Control)
                         (fun () ->
-                          incr acks;
-                          if (not !finalized) && !acks >= acks_needed then begin
+                          incr acks_p;
+                          if (not !finalized) && durable () then begin
                             finalized := true;
                             if ok then begin
                               Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
@@ -162,7 +165,7 @@ let make (cluster : Cluster.t) : System.t =
                             end
                           end)))
                 replicas.(p))
-            participants
+            acks
         end
       in
       List.iter
