@@ -220,6 +220,41 @@ let prop_vec_model =
       && Vec.length v = List.length xs
       && Array.to_list (Vec.to_array v) = xs)
 
+let prop_vec_drop_front_model =
+  (* Pushes interleaved with front drops of at most the current length. *)
+  QCheck.Test.make ~name:"vec push/drop_front behaves like a list" ~count:300
+    QCheck.(list (pair bool (int_bound 40)))
+    (fun ops ->
+      let v = Vec.create () in
+      let model =
+        List.fold_left
+          (fun l (drop, x) ->
+            if drop then begin
+              let n = min x (List.length l) in
+              Vec.drop_front v n;
+              List.filteri (fun i _ -> i >= n) l
+            end
+            else begin
+              Vec.push v x;
+              l @ [ x ]
+            end)
+          [] ops
+      in
+      Vec.to_list v = model && Vec.length v = List.length model)
+
+let prop_bitset_model =
+  QCheck.Test.make ~name:"bitset behaves like a set" ~count:300
+    QCheck.(list (int_bound 5000))
+    (fun ids ->
+      let b = Bitset.create () and model = Array.make 5100 false in
+      List.iter
+        (fun i ->
+          Bitset.add b i;
+          model.(i) <- true)
+        ids;
+      Array.for_all Fun.id (Array.mapi (fun i m -> Bitset.mem b i = m) model)
+      && not (Bitset.mem b (-1)))
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -656,7 +691,9 @@ let () =
           Alcotest.test_case "basics" `Quick test_vec_basics;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           QCheck_alcotest.to_alcotest prop_vec_model;
+          QCheck_alcotest.to_alcotest prop_vec_drop_front_model;
         ] );
+      ("bitset", [ QCheck_alcotest.to_alcotest prop_bitset_model ]);
       ( "engine",
         [
           Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
