@@ -194,6 +194,14 @@ let print_commented text =
   String.split_on_char '\n' text
   |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line)
 
+(* Output files are opened before any simulation, so a bad path fails fast
+   instead of after the whole grid has run. *)
+let open_output what file =
+  try (file, open_out file)
+  with Sys_error e ->
+    Printf.eprintf "natto_sim: cannot write %s file: %s\n%!" what e;
+    exit 1
+
 let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo ~variance
     ~loss ~partitions ~clients_per_dc ~drain ~batching ~partial_abort ~histograms ~trace_file
     ~metrics_file ~trace_summary ~faults ~check =
@@ -231,14 +239,6 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
       Harness.Experiment.batching =
         (if batching then Some Rpc.Batcher.default_config else None);
     }
-  in
-  (* Open the output files before any simulation, so a bad path fails fast
-     instead of after the whole grid has run. *)
-  let open_output what file =
-    try (file, open_out file)
-    with Sys_error e ->
-      Printf.eprintf "natto_sim: cannot write %s file: %s\n%!" what e;
-      exit 1
   in
   let trace_out = Option.map (open_output "trace") trace_file in
   let metrics_out = Option.map (open_output "metrics") metrics_file in
@@ -430,6 +430,47 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
   end;
   !violations
 
+let git_rev () =
+  try
+    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    if line = "" then "unknown" else line
+  with _ -> "unknown"
+
+(* The figures' CSV blocks go to stdout and their rows to
+   BENCH_results.json: the run's metadata alone on line 1 (the only
+   machine- and load-dependent part: wall and busy time, speedup), then
+   figure name -> rows. *)
+let run_figures ~names ~jobs ~trace_summary =
+  let _, oc = open_output "results" "BENCH_results.json" in
+  let scale = Harness.Figures.scale_of_env () in
+  let t0 = Unix.gettimeofday () in
+  (* [names] are validated, so the run cannot fail on one. *)
+  let r =
+    Result.get_ok (Harness.Figures.run ~count_messages:trace_summary scale names)
+  in
+  Option.iter Trace.print_totals r.Harness.Figures.messages;
+  let wall_s = Unix.gettimeofday () -. t0 in
+  (* busy / wall is the achieved parallel speedup: total time spent inside
+     simulation jobs over the elapsed wall clock. *)
+  let busy_s = Harness.Pool.busy_seconds () in
+  let meta =
+    Trace.Obj
+      [
+        ("scale", Trace.String (match scale with Harness.Figures.Quick -> "quick" | Full -> "full"));
+        ("seeds", Trace.List (List.map (fun s -> Trace.Int s) (Harness.Figures.seeds scale)));
+        ("git_rev", Trace.String (git_rev ()));
+        ("wall_time_s", Trace.Float wall_s);
+        ( "jobs",
+          Trace.Int (match jobs with Some n -> n | None -> Harness.Pool.jobs_for ~cells:max_int) );
+        ("busy_time_s", Trace.Float busy_s);
+        ("speedup", Trace.Float (if wall_s > 0. then busy_s /. wall_s else 1.0));
+      ]
+  in
+  Trace.write_json oc (Trace.Obj [ ("meta", meta); ("figures", Harness.Figures.json r) ]);
+  close_out oc
+
 open Cmdliner
 
 let systems_arg =
@@ -564,10 +605,12 @@ let check_arg =
 
 let figure_arg =
   let doc =
-    Printf.sprintf "Regenerate a figure instead (%s)."
+    Printf.sprintf
+      "Regenerate comma-separated figures instead (%s, or 'all' for every one but \
+       simthroughput), and write their rows to BENCH_results.json in the working directory."
       (String.concat ", " Harness.Figures.names)
   in
-  Arg.(value & opt (some string) None & info [ "figure" ] ~doc)
+  Arg.(value & opt (some (list string)) None & info [ "figure" ] ~doc)
 
 let main systems workload rate zipf duration seeds high_fraction topo variance loss partitions
     clients_per_dc drain batching partial_abort histograms trace_file metrics_file trace_summary
@@ -590,15 +633,14 @@ let main systems workload rate zipf duration seeds high_fraction topo variance l
   | _ -> (
   Harness.Pool.set_jobs jobs;
   match figure with
-  | Some name -> (
-      match
-        Harness.Figures.run ~count_messages:trace_summary (Harness.Figures.scale_of_env ())
-          [ name ]
-      with
-      | Ok r ->
-          Option.iter Trace.print_totals r.Harness.Figures.messages;
-          `Ok ()
-      | Error _ -> `Error (false, Printf.sprintf "unknown figure %S" name))
+  | Some [] -> `Error (false, "--figure needs at least one name")
+  | Some names -> (
+      let names = List.concat_map (function "all" -> Harness.Figures.all | n -> [ n ]) names in
+      match Harness.Figures.unknown names with
+      | Some name -> `Error (false, Printf.sprintf "unknown figure %S" name)
+      | None ->
+          run_figures ~names ~jobs ~trace_summary;
+          `Ok ())
   | None ->
       let systems =
         if systems = [ "all" ] then List.map fst system_names else systems

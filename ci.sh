@@ -58,19 +58,32 @@ section "option validation"
 # Out-of-range numeric options are rejected before any output: cmdliner's
 # usage-error exit (124) and nothing on stdout.
 bad_out="${TMPDIR:-/tmp}/natto_ci_bad_opt.out"
+sim_exe="$PWD/_build/default/bin/natto_sim.exe"
+# A figure list with an unknown name is rejected the same way, before any
+# figure runs or BENCH_results.json is opened.
 for opt in "-r 0" "--rate=nan" "--rate=-5" "-p 0" "--partitions=-2" "--zipf=-1" \
   "--duration=-1" "--drain=-3" "--high-fraction 2" "--high-fraction=-1" "--loss 1.5" \
-  "--loss=-0.2" "--variance=-0.5"; do
+  "--loss=-0.2" "--variance=-0.5" "--figure=nosuch" "--figure=fig13,nosuch"; do
   status=0
   # shellcheck disable=SC2086  # $opt is split into flag and value on purpose
-  "$PWD/_build/default/bin/natto_sim.exe" -s 2pl --seeds 1 $opt >"$bad_out" 2>/dev/null \
+  "$sim_exe" -s 2pl --seeds 1 $opt >"$bad_out" 2>/dev/null \
     || status=$?
   if [ "$status" -ne 124 ] || [ -s "$bad_out" ]; then
     echo "natto_sim $opt: expected exit 124 and no output, got exit $status"
     exit 1
   fi
 done
-rm -f "$bad_out"
+# BENCH_results.json is opened before the first figure runs: where it
+# cannot be written (here it is a directory), exit 1 with no output.
+bad_dir="$(mktemp -d)"
+mkdir "$bad_dir/BENCH_results.json"
+status=0
+(cd "$bad_dir" && "$sim_exe" --figure table1) >"$bad_out" 2>/dev/null || status=$?
+if [ "$status" -ne 1 ] || [ -s "$bad_out" ]; then
+  echo "--figure with an unwritable BENCH_results.json: expected exit 1 and no output, got exit $status"
+  exit 1
+fi
+rm -rf "$bad_out" "$bad_dir"
 
 section "trace smoke run"
 trace_out="${TMPDIR:-/tmp}/natto_ci_trace.json"
@@ -270,13 +283,10 @@ section "parallel harness determinism gate"
 # time, jobs, speedup — may differ).
 par_dir="$(mktemp -d)"
 mkdir -p "$par_dir/j1" "$par_dir/j4"
-bench_exe="$PWD/_build/default/bench/main.exe"
-(cd "$par_dir/j1" && "$bench_exe" --jobs 1 fig13 >out.csv)
-(cd "$par_dir/j4" && "$bench_exe" --jobs 4 fig13 >out.csv)
-grep -v '^# bench wall time' "$par_dir/j1/out.csv" >"$par_dir/j1.csv"
-grep -v '^# bench wall time' "$par_dir/j4/out.csv" >"$par_dir/j4.csv"
-cmp "$par_dir/j1.csv" "$par_dir/j4.csv"
-csv_blocks "$par_dir/j1.csv"
+(cd "$par_dir/j1" && "$sim_exe" --figure fig13 --jobs 1 >out.csv)
+(cd "$par_dir/j4" && "$sim_exe" --figure fig13 --jobs 4 >out.csv)
+cmp "$par_dir/j1/out.csv" "$par_dir/j4/out.csv"
+csv_blocks "$par_dir/j1/out.csv"
 tail -n +2 "$par_dir/j1/BENCH_results.json" >"$par_dir/j1.json"
 tail -n +2 "$par_dir/j4/BENCH_results.json" >"$par_dir/j4.json"
 cmp "$par_dir/j1.json" "$par_dir/j4.json"
@@ -360,18 +370,21 @@ section "simulator throughput bench"
 # the events column is deterministic, so the gate asserts (a) the series
 # exist and (b) the jobs rows processed identical event counts — the pool
 # may only change wall time, never the simulation.
-"$PWD/_build/default/bench/main.exe" simthroughput >/dev/null
+st_out="${TMPDIR:-/tmp}/natto_ci_simthroughput.csv"
+"$sim_exe" --figure simthroughput >"$st_out"
+csv_blocks "$st_out"
+rm -f "$st_out"
 python3 - BENCH_results.json <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
-series = d["figures"]["simthroughput"]["Natto-RECSF"]
-parts = [p for p in series if "partitions" in p]
-jobs = [p for p in series if "jobs" in p]
+series = [r for r in d["figures"]["simthroughput"] if r["system"] == "Natto-RECSF"]
+parts = [r for r in series if r["x_label"] == "partitions"]
+jobs = [r for r in series if r["x_label"] == "jobs"]
 assert len(parts) >= 3, "missing cluster-size series"
 assert len(jobs) >= 3, "missing jobs series"
-assert all(p["events"] > 0 and p["events_per_sec"] > 0 for p in series)
-assert len({p["events"] for p in jobs}) == 1, \
-    "event count varies with --jobs: %r" % [(p["jobs"], p["events"]) for p in jobs]
+assert all(r["events"] > 0 and r["events_per_sec"] > 0 for r in series)
+assert len({r["events"] for r in jobs}) == 1, \
+    "event count varies with --jobs: %r" % [(r["x"], r["events"]) for r in jobs]
 print("simthroughput ok: %d points, %.0f events/s at 5 partitions"
       % (len(series), parts[0]["events_per_sec"]))
 EOF

@@ -46,6 +46,25 @@ let eight_systems =
     Natto Natto.Features.recsf;
   ]
 
+let one_per_family =
+  [
+    Twopl Twopl.Plain;
+    Tapir;
+    Carousel_basic;
+    Carousel_fast;
+    Natto Natto.Features.recsf;
+    Quecc Quecc.Fifo;
+    Quecc Quecc.Prio;
+  ]
+
+let twopl_and_recsf =
+  [
+    Twopl Twopl.Plain;
+    Twopl Twopl.Preempt;
+    Twopl Twopl.Preempt_on_wait;
+    Natto Natto.Features.recsf;
+  ]
+
 type setup = {
   topo : Netsim.Topology.t;
   n_partitions : int;

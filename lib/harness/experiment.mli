@@ -27,6 +27,14 @@ val eight_systems : system_spec list
 (** The Fig. 7(c) set: the 2PL variants, TAPIR, the Carousels, Natto-TS and
     Natto-RECSF. *)
 
+val one_per_family : system_spec list
+(** One system per protocol family, as the failover, checker and
+    attribution figures run them: 2PL+2PC, TAPIR, both Carousels,
+    Natto-RECSF and both QueCCs. *)
+
+val twopl_and_recsf : system_spec list
+(** The Figs. 9 and 10 set: the three 2PL variants and Natto-RECSF. *)
+
 type setup = {
   topo : Netsim.Topology.t;
   n_partitions : int;

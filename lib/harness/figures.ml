@@ -32,34 +32,56 @@ let driver_config scale ~rate =
         drain = Sim_time.seconds 25.;
       }
 
-(* Every figure's data points are also collected in memory so the bench
-   harness can emit a machine-readable BENCH_results.json next to the CSV
-   stream. A point is one (figure, x, system) cell with named numeric
-   fields. *)
-type point = {
-  pt_figure : string;
-  pt_x_label : string;
-  pt_x : string;
-  pt_system : string;
-  pt_fields : (string * float) list;
-}
+(* A figure row is declared once, as named cells: [emit] prints the CSV
+   line from it and records the same cells, exact, for the JSON. *)
+type value = Int of int | Float of int * float | Str of string | Json_only of Trace.json
+type row = (string * value) list
+type results = { figures : (string * row list) list; messages : Trace.t option }
 
-type results = { points : point list; messages : Trace.t option }
-
-(* What a running figure writes into: its points (newest first) and, when
-   messages are counted, the invocation's totals sink. Only the main domain
-   touches it; workers count into their own per-run sinks. *)
+(* What a running figure writes into: its rows (newest first), whether the
+   current block still owes its header line, and, when messages are
+   counted, the invocation's totals sink. Only the main domain touches it;
+   workers count into their own per-run sinks. *)
 type ctx = {
   name : string;
   scale : scale;
   traffic : Trace.t option;
-  mutable rev_points : point list;
+  mutable header_due : bool;
+  mutable rev_rows : row list;
 }
 
-let collect c ~x_label ~x ~system fields =
-  c.rev_points <-
-    { pt_figure = c.name; pt_x_label = x_label; pt_x = x; pt_system = system; pt_fields = fields }
-    :: c.rev_points
+let csv_text = function
+  | Int n -> Some (string_of_int n)
+  | Float (decimals, f) -> Some (Printf.sprintf "%.*f" decimals f)
+  | Str s -> Some s
+  | Json_only _ -> None
+
+let json_value = function
+  | Int n -> Trace.Int n
+  | Float (_, f) -> Trace.Float f
+  | Str s -> Trace.String s
+  | Json_only j -> j
+
+(* A block is a caption line; its header is the first printed row's
+   column names. *)
+let block c caption =
+  Printf.printf "\n# %s — %s\n%!" c.name caption;
+  c.header_due <- true
+
+(* Every row leads with the figure's name; a row of JSON-only cells prints
+   nothing. *)
+let emit c cells =
+  let printed =
+    List.filter_map (fun (col, v) -> Option.map (fun s -> (col, s)) (csv_text v)) cells
+  in
+  if printed <> [] then begin
+    if c.header_due then begin
+      print_endline (String.concat "," ("figure" :: List.map fst printed));
+      c.header_due <- false
+    end;
+    Printf.printf "%s\n%!" (String.concat "," (c.name :: List.map snd printed))
+  end;
+  c.rev_rows <- (("figure", Str c.name) :: cells) :: c.rev_rows
 
 let run_cell c ?check ?faults ?metrics setup spec ~gen ~seed =
   Experiment.run_outcome ?check ?faults ?metrics ~counters:(Option.is_some c.traffic) setup
@@ -86,29 +108,23 @@ let metered c o =
   tally c o;
   Option.get o.Experiment.o_metrics
 
-let default_columns =
-  "figure,x_label,x,system,p95_high_ms,p95_high_ci,p95_low_ms,p95_low_ci,goodput_high_tps,goodput_low_tps,failed,aborts"
-
-let header ?(columns = default_columns) c caption =
-  Printf.printf "\n# %s — %s\n" c.name caption;
-  Printf.printf "%s\n%!" columns
-
+(* The latency-summary row of the sweeps and the ablation. [spec_aborts]
+   (the deterministic families' in-epoch re-executions) is JSON-only. *)
 let row c x_label x system (s : Experiment.summary) =
-  Printf.printf "%s,%s,%s,%s,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%d,%d\n%!" c.name x_label x system
-    s.Experiment.p95_high_ms s.Experiment.p95_high_ci s.Experiment.p95_low_ms
-    s.Experiment.p95_low_ci s.Experiment.goodput_high_tps s.Experiment.goodput_low_tps
-    s.Experiment.failed s.Experiment.aborts;
-  collect c ~x_label ~x ~system
+  emit c
     [
-      ("p95_high_ms", s.Experiment.p95_high_ms);
-      ("p95_high_ci", s.Experiment.p95_high_ci);
-      ("p95_low_ms", s.Experiment.p95_low_ms);
-      ("p95_low_ci", s.Experiment.p95_low_ci);
-      ("goodput_high_tps", s.Experiment.goodput_high_tps);
-      ("goodput_low_tps", s.Experiment.goodput_low_tps);
-      ("failed", float_of_int s.Experiment.failed);
-      ("aborts", float_of_int s.Experiment.aborts);
-      ("spec_aborts", float_of_int s.Experiment.spec_aborts);
+      ("x_label", Str x_label);
+      ("x", Str x);
+      ("system", Str system);
+      ("p95_high_ms", Float (1, s.Experiment.p95_high_ms));
+      ("p95_high_ci", Float (1, s.Experiment.p95_high_ci));
+      ("p95_low_ms", Float (1, s.Experiment.p95_low_ms));
+      ("p95_low_ci", Float (1, s.Experiment.p95_low_ci));
+      ("goodput_high_tps", Float (1, s.Experiment.goodput_high_tps));
+      ("goodput_low_tps", Float (1, s.Experiment.goodput_low_tps));
+      ("failed", Int s.Experiment.failed);
+      ("aborts", Int s.Experiment.aborts);
+      ("spec_aborts", Json_only (Trace.Int s.Experiment.spec_aborts));
     ]
 
 (* Parallel cell fan-out: every (x, system) cell of a figure is an
@@ -117,11 +133,11 @@ let row c x_label x system (s : Experiment.summary) =
    ([Experiment.outcome]). The main domain then walks the cells in the
    exact sequential order, merging outcomes (message totals, checker
    assertions) and printing rows — which is what keeps the CSV stream and
-   the collected points byte-for-byte identical to a [--jobs 1] run. *)
+   the recorded rows byte-for-byte identical to a [--jobs 1] run. *)
 let map_cells cells f = Pool.map_ordered_auto f cells
 
 let sweep ~caption ~x_label ~setup_of ~gen_of ~xs ~systems ~show c =
-  header c caption;
+  block c caption;
   let cells = List.concat_map (fun x -> List.map (fun spec -> (x, spec)) systems) xs in
   let outcomes =
     map_cells cells (fun (x, spec) -> checked_runs c (setup_of x) spec ~gen:(gen_of x))
@@ -205,33 +221,22 @@ let fig9 c =
       { Experiment.default_setup with Experiment.driver })
     ~gen_of:(fun _ -> gen)
     ~xs:[ 10.; 20.; 40.; 60.; 80.; 100. ]
-    ~systems:
-      [
-        Experiment.Twopl Twopl.Plain;
-        Experiment.Twopl Twopl.Preempt;
-        Experiment.Twopl Twopl.Preempt_on_wait;
-        Experiment.Natto Natto.Features.recsf;
-      ]
-    ~show:string_of_float c
+    ~systems:Experiment.twopl_and_recsf ~show:string_of_float c
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: SmallBank with sendPayment as the high-priority class *)
 
 let fig10 c =
-  header c ~columns:"figure,x_label,x,system,p95_high_ms,p95_high_ci,increase_pct"
+  block c
     "SmallBank with sendPayment=high, 95P high-priority latency and its increase ratio vs \
      the 100 txn/s baseline";
   let gen = Workload.Smallbank.gen ~prioritize_send_payment:true () in
-  let systems =
-    [
-      Experiment.Twopl Twopl.Plain;
-      Experiment.Twopl Twopl.Preempt;
-      Experiment.Twopl Twopl.Preempt_on_wait;
-      Experiment.Natto Natto.Features.recsf;
-    ]
-  in
   let rates = [ 100.; 1500.; 3500.; 6000. ] in
-  let cells = List.concat_map (fun spec -> List.map (fun rate -> (spec, rate)) rates) systems in
+  let cells =
+    List.concat_map
+      (fun spec -> List.map (fun rate -> (spec, rate)) rates)
+      Experiment.twopl_and_recsf
+  in
   let outcomes =
     map_cells cells (fun (spec, rate) ->
         let setup =
@@ -250,15 +255,14 @@ let fig10 c =
       let increase_pct =
         100. *. (summary.Experiment.p95_high_ms -. !baseline) /. !baseline
       in
-      Printf.printf "%s,rate_tps,%.0f,%s,%.1f,%.1f,%.1f\n%!" c.name rate
-        (Experiment.spec_name spec) summary.Experiment.p95_high_ms
-        summary.Experiment.p95_high_ci increase_pct;
-      collect c ~x_label:"rate_tps" ~x:(Printf.sprintf "%.0f" rate)
-        ~system:(Experiment.spec_name spec)
+      emit c
         [
-          ("p95_high_ms", summary.Experiment.p95_high_ms);
-          ("p95_high_ci", summary.Experiment.p95_high_ci);
-          ("increase_pct", increase_pct);
+          ("x_label", Str "rate_tps");
+          ("x", Float (0, rate));
+          ("system", Str (Experiment.spec_name spec));
+          ("p95_high_ms", Float (1, summary.Experiment.p95_high_ms));
+          ("p95_high_ci", Float (1, summary.Experiment.p95_high_ci));
+          ("increase_pct", Float (1, increase_pct));
         ])
     cells outcomes
 
@@ -321,7 +325,7 @@ let fig13 c =
 (* Fig. 14: throughput scaling on the local cluster *)
 
 let fig14 c =
-  header c ~columns:"figure,x_label,x,system,peak_goodput_tps"
+  block c
     "Peak throughput (committed txn/s) vs number of partitions; uniform Retwis, 3 local DCs";
   let gen = Workload.Retwis.gen ~theta:0.0 () in
   let systems =
@@ -393,18 +397,20 @@ let fig14 c =
             if goodput > best then goodput else best)
           0.0 outs
       in
-      Printf.printf "%s,partitions,%d,%s,%.0f\n%!" c.name n_partitions
-        (Experiment.spec_name spec) best;
-      collect c ~x_label:"partitions" ~x:(string_of_int n_partitions)
-        ~system:(Experiment.spec_name spec)
-        [ ("peak_goodput_tps", best) ])
+      emit c
+        [
+          ("x_label", Str "partitions");
+          ("x", Int n_partitions);
+          ("system", Str (Experiment.spec_name spec));
+          ("peak_goodput_tps", Float (0, best));
+        ])
     cells outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: design knobs the paper mentions but does not sweep. *)
 
 let ablation c =
-  header c
+  block c
     "Natto design knobs @350 txn/s YCSB+T zipf 0.75: completion-estimate refinement, \
      starvation promotion, timestamp pad";
   let gen = Workload.Ycsbt.gen ~theta:0.75 () in
@@ -437,9 +443,7 @@ let ablation c =
 (* Failure experiments: recovery around a partition-leader crash. *)
 
 let failover c =
-  header c
-    ~columns:
-      "figure,system,p95_high_before_ms,p95_high_during_ms,p95_high_after_ms,recovery_ratio,commits_after_heal,unfinished"
+  block c
     "YCSB+T @100 txn/s; partition 0's leader crashes at t=1/3 of the run and restarts at \
      t=2/3; high-priority p95 per phase from the per-commit log";
   let dur = match c.scale with Quick -> 24. | Full -> 48. in
@@ -468,17 +472,7 @@ let failover c =
     }
   in
   let setup = { Experiment.default_setup with Experiment.driver } in
-  let systems =
-    [
-      Experiment.Twopl Twopl.Plain;
-      Experiment.Tapir;
-      Experiment.Carousel_basic;
-      Experiment.Carousel_fast;
-      Experiment.Natto Natto.Features.recsf;
-      Experiment.Quecc Quecc.Fifo;
-      Experiment.Quecc Quecc.Prio;
-    ]
-  in
+  let systems = Experiment.one_per_family in
   let outcomes =
     map_cells systems (fun spec -> checked_runs c ~faults:schedule setup spec ~gen)
   in
@@ -508,17 +502,15 @@ let failover c =
       let unfinished =
         List.fold_left (fun acc r -> acc + r.Workload.Driver.unfinished) 0 results
       in
-      Printf.printf "%s,%s,%.1f,%.1f,%.1f,%.2f,%d,%d\n%!" c.name (Experiment.spec_name spec)
-        before during after (after /. before) commits_after_heal unfinished;
-      collect c ~x_label:"phase" ~x:"crash-restart"
-        ~system:(Experiment.spec_name spec)
+      emit c
         [
-          ("p95_high_before_ms", before);
-          ("p95_high_during_ms", during);
-          ("p95_high_after_ms", after);
-          ("recovery_ratio", after /. before);
-          ("commits_after_heal", float_of_int commits_after_heal);
-          ("unfinished", float_of_int unfinished);
+          ("system", Str (Experiment.spec_name spec));
+          ("p95_high_before_ms", Float (1, before));
+          ("p95_high_during_ms", Float (1, during));
+          ("p95_high_after_ms", Float (1, after));
+          ("recovery_ratio", Float (2, after /. before));
+          ("commits_after_heal", Int commits_after_heal);
+          ("unfinished", Int unfinished);
         ])
     systems outcomes
 
@@ -530,7 +522,7 @@ let failover c =
    data, and covers the fault schedules the latency figures do not. *)
 
 let check_figure c =
-  header c ~columns:"figure,schedule,system,committed_txns,graph_edges,violations"
+  block c
     "strict-serializability verdicts, YCSB+T zipf 0.95 @100 txn/s per family";
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let dur = match c.scale with Quick -> 8. | Full -> 24. in
@@ -557,20 +549,11 @@ let check_figure c =
       { Faults.at = Sim_time.seconds (dur *. 5. /. 8.); action = Faults.Restart_all };
     ]
   in
-  let systems =
-    [
-      Experiment.Twopl Twopl.Plain;
-      Experiment.Tapir;
-      Experiment.Carousel_basic;
-      Experiment.Carousel_fast;
-      Experiment.Natto Natto.Features.recsf;
-      Experiment.Quecc Quecc.Fifo;
-      Experiment.Quecc Quecc.Prio;
-    ]
-  in
   let schedules = [ ("none", None); ("crash+cut", Some fault_schedule) ] in
   let cells =
-    List.concat_map (fun sched -> List.map (fun spec -> (sched, spec)) systems) schedules
+    List.concat_map
+      (fun sched -> List.map (fun spec -> (sched, spec)) Experiment.one_per_family)
+      schedules
   in
   let outcomes =
     map_cells cells (fun ((_label, faults), spec) ->
@@ -581,13 +564,13 @@ let check_figure c =
       tally c o;
       let history, report = Option.get o.Experiment.o_check in
       let n_violations = List.length report.Check.Checker.violations in
-      Printf.printf "%s,%s,%s,%d,%d,%d\n%!" c.name label (Experiment.spec_name spec)
-        report.Check.Checker.checked_txns report.Check.Checker.edges n_violations;
-      collect c ~x_label:"schedule" ~x:label ~system:(Experiment.spec_name spec)
+      emit c
         [
-          ("committed_txns", float_of_int report.Check.Checker.checked_txns);
-          ("graph_edges", float_of_int report.Check.Checker.edges);
-          ("violations", float_of_int n_violations);
+          ("schedule", Str label);
+          ("system", Str (Experiment.spec_name spec));
+          ("committed_txns", Int report.Check.Checker.checked_txns);
+          ("graph_edges", Int report.Check.Checker.edges);
+          ("violations", Int n_violations);
         ];
       if n_violations > 0 then begin
         print_string (Check.Checker.render history report);
@@ -605,25 +588,12 @@ let check_figure c =
    class. *)
 
 let attribution c =
-  header c
-    ~columns:
-      "figure,system,class,n,e2e_mean_ms,e2e_p95_ms,e2e_p99_ms,wan_pct,cpu_queue_pct,lock_wait_pct,queue_wait_pct,replication_pct,batching_pct,backoff_pct,exec_pct,residual_pct"
-    "commit-latency critical path, YCSB+T zipf 0.95 @100 txn/s per family";
+  block c "commit-latency critical path, YCSB+T zipf 0.95 @100 txn/s per family";
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let setup =
     { Experiment.default_setup with Experiment.driver = driver_config c.scale ~rate:100. }
   in
-  let systems =
-    [
-      Experiment.Twopl Twopl.Plain;
-      Experiment.Tapir;
-      Experiment.Carousel_basic;
-      Experiment.Carousel_fast;
-      Experiment.Natto Natto.Features.recsf;
-      Experiment.Quecc Quecc.Fifo;
-      Experiment.Quecc Quecc.Prio;
-    ]
-  in
+  let systems = Experiment.one_per_family in
   let outcomes =
     map_cells systems (fun spec ->
         run_cell c ~metrics:true setup spec ~gen ~seed:(List.hd (seeds c.scale)))
@@ -636,22 +606,17 @@ let attribution c =
       List.iter
         (fun (label, (agg : Metrics.Attribution.agg)) ->
           let pct = Metrics.Attribution.share_pct agg.Metrics.Attribution.mean_us in
-          Printf.printf
-            "%s,%s,%s,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f\n%!"
-            c.name system label agg.Metrics.Attribution.n agg.Metrics.Attribution.e2e_mean_ms
-            agg.Metrics.Attribution.e2e_p95_ms agg.Metrics.Attribution.e2e_p99_ms
-            (pct "wan") (pct "cpu_queue") (pct "lock_wait") (pct "queue_wait")
-            (pct "replication") (pct "batching") (pct "backoff") (pct "exec")
-            (pct "residual");
-          collect c ~x_label:"class" ~x:label ~system
+          emit c
             ([
-               ("n", float_of_int agg.Metrics.Attribution.n);
-               ("e2e_mean_ms", agg.Metrics.Attribution.e2e_mean_ms);
-               ("e2e_p95_ms", agg.Metrics.Attribution.e2e_p95_ms);
-               ("e2e_p99_ms", agg.Metrics.Attribution.e2e_p99_ms);
+               ("system", Str system);
+               ("class", Str label);
+               ("n", Int agg.Metrics.Attribution.n);
+               ("e2e_mean_ms", Float (1, agg.Metrics.Attribution.e2e_mean_ms));
+               ("e2e_p95_ms", Float (1, agg.Metrics.Attribution.e2e_p95_ms));
+               ("e2e_p99_ms", Float (1, agg.Metrics.Attribution.e2e_p99_ms));
              ]
             @ List.map
-                (fun name -> (name ^ "_pct", pct name))
+                (fun name -> (name ^ "_pct", Float (1, pct name)))
                 Metrics.Attribution.segment_names))
         aggs;
       (* Human-readable block, "#"-prefixed so CSV consumers skip it. *)
@@ -675,9 +640,7 @@ let attribution c =
    cpu_queue shrinks. *)
 
 let batchsweep c =
-  header c
-    ~columns:
-      "figure,mode,rate_tps,goodput_tps,p95_ms,p95_high_ms,envelopes,batched_msgs,msgs_per_envelope,flush_idle,flush_timer,flush_size,flush_bytes,flush_cut"
+  block c
     "adaptive group-commit batching: goodput and p95 vs offered load, batched vs unbatched; \
      uniform Retwis, 3 local DCs, 4 partitions";
   let gen = Workload.Retwis.gen ~theta:0.0 () in
@@ -763,35 +726,34 @@ let batchsweep c =
               s.Rpc.Batcher.s_occupancy,
               float_of_int s.Rpc.Batcher.s_hold_us /. 1000. )
       in
-      let flush name = try List.assoc name flushes with Not_found -> 0 in
-      Printf.printf "%s,%s,%.0f,%.1f,%.1f,%.1f,%d,%d,%.2f,%d,%d,%d,%d,%d\n%!" c.name mode
-        rate goodput p95_all p95_high envelopes batched_msgs per_env (flush "idle")
-        (flush "timer") (flush "size") (flush "bytes") (flush "cut");
-      (* Nonzero occupancy buckets ride along so BENCH_results.json carries
-         the full envelope-size histogram, not just its mean. *)
-      let occ_fields =
+      let flush name = Int (try List.assoc name flushes with Not_found -> 0) in
+      (* The total hold time and the nonzero occupancy buckets ride along in
+         the JSON, so BENCH_results.json carries the full envelope-size
+         histogram, not just its mean. *)
+      let occ_cells =
         Array.to_list occupancy
         |> List.mapi (fun n c -> (n, c))
         |> List.filter (fun (_, c) -> c > 0)
-        |> List.map (fun (n, c) -> (Printf.sprintf "occ_%d" n, float_of_int c))
+        |> List.map (fun (n, c) -> (Printf.sprintf "occ_%d" n, Json_only (Trace.Int c)))
       in
-      collect c ~x_label:"rate_tps" ~x:(Printf.sprintf "%.0f" rate)
-        ~system:mode
+      emit c
         ([
-           ("goodput_tps", goodput);
-           ("p95_ms", p95_all);
-           ("p95_high_ms", p95_high);
-           ("envelopes", float_of_int envelopes);
-           ("batched_msgs", float_of_int batched_msgs);
-           ("msgs_per_envelope", per_env);
-           ("hold_total_ms", hold_ms);
-           ("flush_idle", float_of_int (flush "idle"));
-           ("flush_timer", float_of_int (flush "timer"));
-           ("flush_size", float_of_int (flush "size"));
-           ("flush_bytes", float_of_int (flush "bytes"));
-           ("flush_cut", float_of_int (flush "cut"));
+           ("mode", Str mode);
+           ("rate_tps", Float (0, rate));
+           ("goodput_tps", Float (1, goodput));
+           ("p95_ms", Float (1, p95_all));
+           ("p95_high_ms", Float (1, p95_high));
+           ("envelopes", Int envelopes);
+           ("batched_msgs", Int batched_msgs);
+           ("msgs_per_envelope", Float (2, per_env));
+           ("hold_total_ms", Json_only (Trace.Float hold_ms));
+           ("flush_idle", flush "idle");
+           ("flush_timer", flush "timer");
+           ("flush_size", flush "size");
+           ("flush_bytes", flush "bytes");
+           ("flush_cut", flush "cut");
          ]
-        @ occ_fields);
+        @ occ_cells);
       curves := (mode, rate, goodput, p95_all) :: !curves)
     cells outcomes;
   let curve mode =
@@ -814,21 +776,21 @@ let batchsweep c =
   in
   let k_un, idle_un = knee "unbatched" in
   let k_b, idle_b = knee "batched" in
-  let ratio = k_b /. k_un in
-  Printf.printf
-    "%s,knee,unbatched,knee_goodput_tps,%.1f,idle_p95_ms,%.1f\n\
-     %s,knee,batched,knee_goodput_tps,%.1f,idle_p95_ms,%.1f\n\
-     %s,knee,ratio,batched_over_unbatched,%.2f\n\
-     %!"
-    c.name k_un idle_un c.name k_b idle_b c.name ratio;
+  block c "knee goodput per mode (highest goodput with p95 within 2x the idle p95)";
   List.iter
     (fun (mode, k, idle) ->
-      collect c ~x_label:"knee" ~x:mode ~system:mode
-        [ ("knee_goodput_tps", k); ("idle_p95_ms", idle); ("knee_ratio", ratio) ])
+      emit c
+        [
+          ("mode", Str mode);
+          ("knee_goodput_tps", Float (1, k));
+          ("idle_p95_ms", Float (1, idle));
+          ("batched_over_unbatched", Float (2, k_b /. k_un));
+        ])
     [ ("unbatched", k_un, idle_un); ("batched", k_b, idle_b) ];
   (* Attribution evidence at the mid-ladder rate: the batched run's critical
      path gains a batching segment (time held in envelopes) while the
      cpu_queue share shrinks — the amortization made visible per txn. *)
+  block c (Printf.sprintf "critical-path shares per mode at the shared %.0f txn/s rung" attr_rate);
   List.iter2
     (fun ((mode, _), _rate) o ->
       match
@@ -837,17 +799,16 @@ let batchsweep c =
       with
       | None -> ()
       | Some a ->
-          let pct = Metrics.Attribution.share_pct a.Metrics.Attribution.mean_us in
-          Printf.printf
-            "%s,attribution,%s,e2e_mean_ms,%.1f,batching_pct,%.1f,replication_pct,%.1f,cpu_queue_pct,%.1f,wan_pct,%.1f\n%!"
-            c.name mode a.Metrics.Attribution.e2e_mean_ms (pct "batching") (pct "replication")
-            (pct "cpu_queue") (pct "wan");
-          collect c ~x_label:"attribution" ~x:(Printf.sprintf "%.0f" attr_rate)
-            ~system:mode
-            ([ ("e2e_mean_ms", a.Metrics.Attribution.e2e_mean_ms) ]
-            @ List.map
-                (fun name -> (name ^ "_pct", pct name))
-                Metrics.Attribution.segment_names))
+          let pct name = Float (1, Metrics.Attribution.share_pct a.Metrics.Attribution.mean_us name) in
+          emit c
+            [
+              ("mode", Str mode);
+              ("e2e_mean_ms", Float (1, a.Metrics.Attribution.e2e_mean_ms));
+              ("batching_pct", pct "batching");
+              ("replication_pct", pct "replication");
+              ("cpu_queue_pct", pct "cpu_queue");
+              ("wan_pct", pct "wan");
+            ])
     cells outcomes
 
 (* ------------------------------------------------------------------ *)
@@ -860,10 +821,8 @@ let batchsweep c =
    change in event count means the simulation itself changed. *)
 
 let simthroughput c =
-  header c ~columns:"figure,x_label,x,system,events,wall_s,events_per_sec"
-    "simulator events/sec (gated; wall-clock fields vary by machine)";
+  block c "simulator events/sec (gated; wall-clock fields vary by machine)";
   let spec = Experiment.Natto Natto.Features.recsf in
-  let name = Experiment.spec_name spec in
   let gen = Workload.Ycsbt.gen () in
   let cell ~x_label ~x ~jobs ~seeds setup =
     let t0 = Unix.gettimeofday () in
@@ -871,10 +830,15 @@ let simthroughput c =
     let wall = Unix.gettimeofday () -. t0 in
     List.iter (tally c) outs;
     let events = List.fold_left (fun acc o -> acc + o.Experiment.o_events) 0 outs in
-    let eps = if wall > 0. then float_of_int events /. wall else 0. in
-    Printf.printf "%s,%s,%s,%s,%d,%.3f,%.0f\n%!" c.name x_label x name events wall eps;
-    collect c ~x_label ~x ~system:name
-      [ ("events", float_of_int events); ("wall_s", wall); ("events_per_sec", eps) ]
+    emit c
+      [
+        ("x_label", Str x_label);
+        ("x", Int x);
+        ("system", Str (Experiment.spec_name spec));
+        ("events", Int events);
+        ("wall_s", Float (3, wall));
+        ("events_per_sec", Float (0, if wall > 0. then float_of_int events /. wall else 0.));
+      ]
   in
   let driver = driver_config c.scale ~rate:100. in
   (* Series 1: events/sec as the cluster grows (more partitions means more
@@ -882,7 +846,7 @@ let simthroughput c =
   let sizes = match c.scale with Quick -> [ 5; 10; 15 ] | Full -> [ 5; 10; 20 ] in
   List.iter
     (fun n_partitions ->
-      cell ~x_label:"partitions" ~x:(string_of_int n_partitions) ~jobs:1 ~seeds:[ 1 ]
+      cell ~x_label:"partitions" ~x:n_partitions ~jobs:1 ~seeds:[ 1 ]
         { Experiment.default_setup with Experiment.n_partitions; driver })
     sizes;
   (* Series 2: events/sec as seeds are farmed across domains. The [events]
@@ -891,7 +855,7 @@ let simthroughput c =
   let seed_batch = [ 1; 2; 3; 4 ] in
   List.iter
     (fun jobs ->
-      cell ~x_label:"jobs" ~x:(string_of_int jobs) ~jobs ~seeds:seed_batch
+      cell ~x_label:"jobs" ~x:jobs ~jobs ~seeds:seed_batch
         { Experiment.default_setup with Experiment.driver = driver })
     [ 1; 2; 4 ]
 
@@ -934,9 +898,7 @@ let queccsweep c =
    less high-class inversion than the no-priority 2PL baseline. *)
 
 let tailblame c =
-  header c
-    ~columns:
-      "figure,zipf,system,n,n_high,hh_us,hl_us,hn_us,lh_us,ll_us,ln_us,wait_us,inversion_us,inv_per_high_us,hot1_share,hot8_share"
+  block c
     "class x class blocked-us matrix, inversion and hot-key concentration, YCSB+T @20 txn/s \
      vs Zipf theta";
   (* Shorter, lighter cells than the latency figures: the profiler needs
@@ -983,31 +945,30 @@ let tailblame c =
         let m = metered c o in
         let b = m.Experiment.m_blame in
         let system = Experiment.spec_name spec in
-        let cell i j = b.Metrics.Blame.b_matrix.(i).(j) in
+        let cell i j = Int b.Metrics.Blame.b_matrix.(i).(j) in
         let inv = Metrics.Blame.inversion_us b in
         let inv_per_high =
           if b.Metrics.Blame.b_n_high = 0 then 0.
           else float_of_int inv /. float_of_int b.Metrics.Blame.b_n_high
         in
         let hot1 = Metrics.Blame.hot_key_share b in
-        let hot8 = Metrics.Blame.hot_key_share ~k:8 b in
-        Printf.printf "%s,%.2f,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.1f,%.3f,%.3f\n%!" c.name
-          theta system b.Metrics.Blame.b_n b.Metrics.Blame.b_n_high (cell 0 0) (cell 0 1)
-          (cell 0 2) (cell 1 0) (cell 1 1) (cell 1 2) b.Metrics.Blame.b_wait_us inv
-          inv_per_high hot1 hot8;
-        collect c ~x_label:"zipf" ~x:(Printf.sprintf "%.2f" theta) ~system
+        emit c
           [
-            ("n", float_of_int b.Metrics.Blame.b_n);
-            ("n_high", float_of_int b.Metrics.Blame.b_n_high);
-            ("high_by_high_us", float_of_int (cell 0 0));
-            ("high_by_low_us", float_of_int (cell 0 1));
-            ("low_by_high_us", float_of_int (cell 1 0));
-            ("low_by_low_us", float_of_int (cell 1 1));
-            ("wait_us", float_of_int b.Metrics.Blame.b_wait_us);
-            ("inversion_us", float_of_int inv);
-            ("inv_per_high_us", inv_per_high);
-            ("hot1_share", hot1);
-            ("hot8_share", hot8);
+            ("zipf", Float (2, theta));
+            ("system", Str system);
+            ("n", Int b.Metrics.Blame.b_n);
+            ("n_high", Int b.Metrics.Blame.b_n_high);
+            ("hh_us", cell 0 0);
+            ("hl_us", cell 0 1);
+            ("hn_us", cell 0 2);
+            ("lh_us", cell 1 0);
+            ("ll_us", cell 1 1);
+            ("ln_us", cell 1 2);
+            ("wait_us", Int b.Metrics.Blame.b_wait_us);
+            ("inversion_us", Int inv);
+            ("inv_per_high_us", Float (1, inv_per_high));
+            ("hot1_share", Float (3, hot1));
+            ("hot8_share", Float (3, Metrics.Blame.hot_key_share ~k:8 b));
           ];
         (theta, system, inv, inv_per_high, hot1, m))
       cells outcomes
@@ -1065,9 +1026,7 @@ let tailblame c =
    machine-readable. *)
 
 let retrysweep c =
-  header c
-    ~columns:
-      "figure,zipf,pa,system,p95_high_ms,p95_low_ms,goodput_high_tps,goodput_low_tps,aborts,partial_restarts,keys_reused,keys_validated"
+  block c
     "partial aborts (resume from first invalidated read) off vs on, YCSB+T @100 txn/s vs \
      Zipf theta";
   let driver ~pa =
@@ -1124,24 +1083,19 @@ let retrysweep c =
   List.iter2
     (fun (theta, pa, spec) outs ->
       let s = Experiment.summarize (List.map (merge c) outs) in
-      let system = Experiment.spec_name spec in
-      Printf.printf "%s,%.2f,%s,%s,%.1f,%.1f,%.1f,%.1f,%d,%d,%d,%d\n%!" c.name theta
-        (if pa then "on" else "off")
-        system s.Experiment.p95_high_ms s.Experiment.p95_low_ms s.Experiment.goodput_high_tps
-        s.Experiment.goodput_low_tps s.Experiment.aborts s.Experiment.partial_restarts
-        s.Experiment.keys_reused s.Experiment.keys_validated;
-      collect c ~x_label:"zipf"
-        ~x:(Printf.sprintf "%.2f/%s" theta (if pa then "on" else "off"))
-        ~system
+      emit c
         [
-          ("p95_high_ms", s.Experiment.p95_high_ms);
-          ("p95_low_ms", s.Experiment.p95_low_ms);
-          ("goodput_high_tps", s.Experiment.goodput_high_tps);
-          ("goodput_low_tps", s.Experiment.goodput_low_tps);
-          ("aborts", float_of_int s.Experiment.aborts);
-          ("partial_restarts", float_of_int s.Experiment.partial_restarts);
-          ("keys_reused", float_of_int s.Experiment.keys_reused);
-          ("keys_validated", float_of_int s.Experiment.keys_validated);
+          ("zipf", Float (2, theta));
+          ("pa", Str (if pa then "on" else "off"));
+          ("system", Str (Experiment.spec_name spec));
+          ("p95_high_ms", Float (1, s.Experiment.p95_high_ms));
+          ("p95_low_ms", Float (1, s.Experiment.p95_low_ms));
+          ("goodput_high_tps", Float (1, s.Experiment.goodput_high_tps));
+          ("goodput_low_tps", Float (1, s.Experiment.goodput_low_tps));
+          ("aborts", Int s.Experiment.aborts);
+          ("partial_restarts", Int s.Experiment.partial_restarts);
+          ("keys_reused", Int s.Experiment.keys_reused);
+          ("keys_validated", Int s.Experiment.keys_validated);
         ])
     cells outcomes;
   (* Wasted-work evidence at the most contended paper point: how much
@@ -1186,16 +1140,19 @@ let retrysweep c =
             off.Metrics.Attribution.wk_discarded_us on.Metrics.Attribution.wk_txns
             on.Metrics.Attribution.wk_exec_us on.Metrics.Attribution.wk_reused_us
             on.Metrics.Attribution.wk_discarded_us reduction;
-          collect c ~x_label:"wasted"
-            ~x:(Printf.sprintf "%.2f" wasted_theta)
-            ~system
+          (* The "#" line above is the CSV's copy, so every cell is
+             JSON-only. *)
+          let us n = Json_only (Trace.Int n) in
+          emit c
             [
-              ("off_exec_us", float_of_int off.Metrics.Attribution.wk_exec_us);
-              ("off_discarded_us", float_of_int off.Metrics.Attribution.wk_discarded_us);
-              ("on_exec_us", float_of_int on.Metrics.Attribution.wk_exec_us);
-              ("on_reused_us", float_of_int on.Metrics.Attribution.wk_reused_us);
-              ("on_discarded_us", float_of_int on.Metrics.Attribution.wk_discarded_us);
-              ("discarded_reduction_pct", reduction);
+              ("zipf", Json_only (Trace.Float wasted_theta));
+              ("system", Json_only (Trace.String system));
+              ("off_exec_us", us off.Metrics.Attribution.wk_exec_us);
+              ("off_discarded_us", us off.Metrics.Attribution.wk_discarded_us);
+              ("on_exec_us", us on.Metrics.Attribution.wk_exec_us);
+              ("on_reused_us", us on.Metrics.Attribution.wk_reused_us);
+              ("on_discarded_us", us on.Metrics.Attribution.wk_discarded_us);
+              ("discarded_reduction_pct", Json_only (Trace.Float reduction));
             ]
       | _ -> ())
     systems
@@ -1231,9 +1188,12 @@ let table = everything @ [ ("simthroughput", simthroughput) ]
 let names = List.map fst table
 let all = List.map fst everything
 
+let unknown ?(table = table) figures =
+  List.find_opt (fun name -> not (List.mem_assoc name table)) figures
+
 let run ?(count_messages = false) ?(table = table) scale figures =
-  match List.find_opt (fun name -> not (List.mem_assoc name table)) figures with
-  | Some unknown -> Error unknown
+  match unknown ~table figures with
+  | Some name -> Error name
   | None ->
       let traffic =
         if count_messages then begin
@@ -1243,12 +1203,23 @@ let run ?(count_messages = false) ?(table = table) scale figures =
         end
         else None
       in
-      let points =
-        List.concat_map
+      let figures =
+        List.map
           (fun name ->
-            let c = { name; scale; traffic; rev_points = [] } in
+            let c = { name; scale; traffic; header_due = false; rev_rows = [] } in
             (List.assoc name table) c;
-            List.rev c.rev_points)
+            (name, List.rev c.rev_rows))
           figures
       in
-      Ok { points; messages = traffic }
+      Ok { figures; messages = traffic }
+
+let json r =
+  Trace.Obj
+    (List.map
+       (fun (name, rows) ->
+         ( name,
+           Trace.List
+             (List.map
+                (fun row -> Trace.Obj (List.map (fun (col, v) -> (col, json_value v)) row))
+                rows) ))
+       r.figures)

@@ -13,31 +13,39 @@ val scale_of_env : unit -> scale
 val seeds : scale -> int list
 (** Repetition seeds each figure runs at this scale. *)
 
-(** {2 Machine-readable results}
+(** {2 Rows}
 
-    Every printed data point is also collected; the bench harness
-    serializes them to [BENCH_results.json]. *)
+    A figure row is declared once, as named cells. The runner prints each
+    row as a CSV line and records its exact values for
+    [BENCH_results.json]; a block's header line is its first printed row's
+    column names. *)
 
-type point = {
-  pt_figure : string;
-  pt_x_label : string;
-  pt_x : string;
-  pt_system : string;  (** series name *)
-  pt_fields : (string * float) list;  (** named numeric columns *)
-}
+type value =
+  | Int of int
+  | Float of int * float  (** printed with this many decimals *)
+  | Str of string
+  | Json_only of Trace.json  (** recorded for the JSON, never printed *)
+
+type row = (string * value) list
+(** Column name and value, in CSV order. Every recorded row starts with
+    [("figure", Str name)]. *)
 
 type results = {
-  points : point list;  (** in emission order *)
+  figures : (string * row list) list;  (** every figure run, its rows in emission order *)
   messages : Trace.t option;
       (** every figure run's messages per kind and per DC link, folded with
           {!Trace.absorb}; present iff counting was asked for *)
 }
 
+val json : results -> Trace.json
+(** The [figures] object of [BENCH_results.json]: figure name -> its rows,
+    each an object of its cells with exact values. *)
+
 (** {2 The figure table} *)
 
 type ctx
 (** What a running figure is handed: its name in the table, the scale, and
-    the invocation's point and message collectors. *)
+    the invocation's row and message collectors. *)
 
 val names : string list
 (** Every figure {!run} accepts, in table order: Table 1, Figs. 7-14, the
@@ -51,6 +59,9 @@ val all : string list
 (** {!names} without the simulator-throughput figure, whose wall-clock
     fields are machine-dependent, so it only runs when asked for by name. *)
 
+val unknown : ?table:(string * (ctx -> unit)) list -> string list -> string option
+(** The first name not in the table, if any. *)
+
 val run :
   ?count_messages:bool ->
   ?table:(string * (ctx -> unit)) list ->
@@ -58,7 +69,7 @@ val run :
   string list ->
   (results, string) result
 (** Run the named figures in order, printing their CSV blocks on stdout,
-    and return their points. [Error name] for the first name not in the
+    and return their rows. [Error name] for the first name not in the
     table, before anything runs. [count_messages] (default [false]) counts
     every run's messages (counters-only tracing, so figure numbers are
     unchanged) into [messages]. [table] defaults to the paper's figures
@@ -76,6 +87,6 @@ val sweep :
   unit
 (** The generic (x × system) grid behind most figures: prints the header,
     then every cell is an independent batch of checked runs (one per seed
-    of the scale) farmed out to the {!Pool}, with rows printed — and points
-    collected — on the calling domain in the sequential cell order. Output
+    of the scale) farmed out to the {!Pool}, with rows printed and recorded
+    on the calling domain in the sequential cell order. Output
     is byte-for-byte independent of the pool's job count. *)

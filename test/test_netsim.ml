@@ -63,25 +63,29 @@ let test_single_stall_per_rto () =
   (* One per recovery window: the burst at t=0 and the probe at t=1s. *)
   Alcotest.(check int) "one stall per window" 2 (List.length stalled)
 
-(* Mathis: loss caps a WAN link's effective rate, so the same burst keeps
-   the link busy longer than on a loss-free network. *)
+(* Mathis: loss caps a WAN link's effective rate, so the same burst of
+   large messages is spread out by transmission queueing: its last message
+   arrives later and the link stays busy longer than on a loss-free
+   network. *)
 let test_mathis_capacity () =
-  let lossy =
-    { Network.default_config with loss = 0.02; rto_floor = Sim_time.zero }
+  let burst config =
+    let engine, net = make_net ~config () in
+    let last = ref 0 in
+    for _ = 1 to 50 do
+      Network.send net ~src:0 ~dst:8 ~bytes:50_000 (fun () ->
+          last := Stdlib.max !last (Engine.now engine))
+    done;
+    Engine.run engine;
+    (!last, Network.max_link_busy net)
   in
-  let engine_l, net_l = make_net ~config:lossy () in
-  for _ = 1 to 50 do
-    Network.send net_l ~src:0 ~dst:8 ~bytes:50_000 (fun () -> ())
-  done;
-  Engine.run engine_l;
-  let engine_n, net_n = make_net () in
-  for _ = 1 to 50 do
-    Network.send net_n ~src:0 ~dst:8 ~bytes:50_000 (fun () -> ())
-  done;
-  Engine.run engine_n;
-  if Network.max_link_busy net_l <= Network.max_link_busy net_n then
-    Alcotest.failf "lossy link not slower: busy %dus vs %dus"
-      (Network.max_link_busy net_l) (Network.max_link_busy net_n)
+  let last_l, busy_l =
+    burst { Network.default_config with loss = 0.02; rto_floor = Sim_time.zero }
+  in
+  let last_n, busy_n = burst Network.default_config in
+  if last_l <= last_n then
+    Alcotest.failf "lossy burst not later: last arrival %dus vs %dus" last_l last_n;
+  if busy_l <= busy_n then
+    Alcotest.failf "lossy link not busier: busy %dus vs %dus" busy_l busy_n
 
 (* The per-connection FIFO / stall tables hold only entries that can still
    affect scheduling; dead ones are swept about once per simulated second,

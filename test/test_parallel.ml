@@ -4,7 +4,8 @@
    - Pool.map_ordered preserves input order and propagates exceptions
      deterministically at any job count.
    - A small figure sweep run at --jobs 4 produces byte-identical CSV text
-     and identical collected points to --jobs 1; a batch of seeds farmed
+     and identical recorded rows to --jobs 1, and its CSV is exactly those
+     rows rendered through their cell formats; a batch of seeds farmed
      over the pool and merged in seed order produces the identical summary.
    - QCheck: under random push/cancel/pop interleavings the event queue
      (whose heap now compacts away dead entries) pops exactly what a naive
@@ -119,18 +120,38 @@ let run_small_sweep jobs =
             Harness.Figures.run ~table:[ ("testfig", small_sweep) ] Harness.Figures.Quick
               [ "testfig" ]))
   with
-  | csv, Ok r -> (csv, r.Harness.Figures.points)
-  | _, Error _ -> Alcotest.fail "testfig did not run"
+  | csv, Ok { Harness.Figures.figures = [ ("testfig", rows) ]; _ } -> (csv, rows)
+  | _ -> Alcotest.fail "testfig did not run"
+
+(* A row's printed cells, rendered through their formats. *)
+let printed_cells row =
+  List.filter_map
+    (fun (col, v) ->
+      match v with
+      | Harness.Figures.Int n -> Some (col, string_of_int n)
+      | Harness.Figures.Float (decimals, f) -> Some (col, Printf.sprintf "%.*f" decimals f)
+      | Harness.Figures.Str s -> Some (col, s)
+      | Harness.Figures.Json_only _ -> None)
+    row
 
 let test_sweep_jobs_identical () =
-  let csv1, points1 = run_small_sweep 1 in
-  let csv4, points4 = run_small_sweep 4 in
+  let csv1, rows1 = run_small_sweep 1 in
+  let csv4, rows4 = run_small_sweep 4 in
   Alcotest.(check string) "CSV text byte-identical" csv1 csv4;
-  Alcotest.(check bool) "CSV non-empty" true (String.length csv1 > 0);
-  Alcotest.(check int) "point count" 4 (List.length points1);
-  Alcotest.(check bool) "collected points identical" true (points1 = points4);
-  Alcotest.(check bool) "points carry the table name" true
-    (List.for_all (fun p -> p.Harness.Figures.pt_figure = "testfig") points1)
+  Alcotest.(check int) "row count" 4 (List.length rows1);
+  Alcotest.(check bool) "recorded rows identical" true (rows1 = rows4);
+  (* The CSV and the JSON rows cannot drift: the printed header and every
+     printed line are the recorded rows rendered through their formats. *)
+  let lines =
+    String.split_on_char '\n' csv1 |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let render part row = String.concat "," (List.map part (printed_cells row)) in
+  Alcotest.(check (list string))
+    "CSV = rendered rows"
+    (render fst (List.hd rows1) :: List.map (render snd) rows1)
+    lines;
+  Alcotest.(check bool) "rows lead with the table name" true
+    (List.for_all (fun row -> List.hd row = ("figure", Harness.Figures.Str "testfig")) rows1)
 
 let test_seed_batch_jobs_identical () =
   let gen = Workload.Ycsbt.gen () in

@@ -439,26 +439,6 @@ let test_network_cpu_queueing () =
         Alcotest.failf "CPU queueing not applied: %d %d %d" a b c
   | _ -> Alcotest.fail "expected 3 arrivals")
 
-let test_network_capacity_under_loss () =
-  (* With loss, the Mathis model limits the link rate; a big burst of large
-     messages must be spread out by transmission queueing. *)
-  let config = { Network.default_config with loss = 0.02; rto_floor = Sim_time.zero } in
-  let engine, net = make_net ~config () in
-  let last = ref 0 in
-  for _ = 1 to 50 do
-    Network.send net ~src:0 ~dst:8 ~bytes:50_000 (fun () -> last := Stdlib.max !last (Engine.now engine))
-  done;
-  Engine.run engine;
-  let no_loss_engine, no_loss_net = make_net () in
-  let last_no_loss = ref 0 in
-  for _ = 1 to 50 do
-    Network.send no_loss_net ~src:0 ~dst:8 ~bytes:50_000 (fun () ->
-        last_no_loss := Stdlib.max !last_no_loss (Engine.now no_loss_engine))
-  done;
-  Engine.run no_loss_engine;
-  if !last <= !last_no_loss then
-    Alcotest.failf "lossy link not slower: %d vs %d" !last !last_no_loss
-
 let test_network_loss_stall_bounded () =
   (* A high-rate connection must stay stable under small loss: stalls pay at
      most one RTO per recovery window, so the total delay added over a burst
@@ -725,7 +705,6 @@ let () =
           Alcotest.test_case "intra-dc fast" `Quick test_network_intra_dc_fast;
           Alcotest.test_case "loss adds rto" `Quick test_network_loss_adds_rto;
           Alcotest.test_case "cpu queueing" `Quick test_network_cpu_queueing;
-          Alcotest.test_case "capacity under loss" `Quick test_network_capacity_under_loss;
           Alcotest.test_case "loss stall bounded" `Quick test_network_loss_stall_bounded;
           Alcotest.test_case "fifo per connection" `Quick test_network_fifo_per_connection;
           Alcotest.test_case "stats" `Quick test_network_stats;
