@@ -151,6 +151,15 @@ and become_leader t =
       Hashtbl.replace t.next_index peer (last_log_index t + 1);
       Hashtbl.replace t.match_index peer (if peer = t.id then last_log_index t else 0))
     t.peers;
+  (* A leader commits only entries of its own term, so one that inherits
+     uncommitted entries appends a no-op of its term (no callback): its
+     commit commits them, without waiting for a client entry. The first
+     heartbeats carry it. *)
+  if last_log_index t > t.commit_index then begin
+    let index = last_log_index t + 1 in
+    Vec.push t.log { Types.term = t.term; index; size = 0; tag = 0 };
+    Hashtbl.replace t.match_index t.id index
+  end;
   send_heartbeats t;
   arm_heartbeat t
 

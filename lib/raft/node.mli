@@ -4,7 +4,8 @@
     election timeouts (uniform in 1.5–3 s, with 150 ms heartbeats), leader
     election with up-to-date log checks, log replication with consistency
     checks and conflict truncation, and commit advancement restricted to the
-    current term. Crash/restart preserves persistent state (term, vote, log)
+    current term (a new leader that inherits uncommitted entries appends a
+    no-op of its term, so they commit without a client entry). Crash/restart preserves persistent state (term, vote, log)
     and discards volatile state, modelling a process with durable storage.
 
     The log is compacted: entries at or below the lowest match index over

@@ -203,6 +203,39 @@ let test_old_leader_steps_down () =
   in
   Alcotest.(check int) "one leader" 1 (List.length leaders)
 
+(* A leader commits only entries of its own term, so a new leader appends a
+   no-op when it inherits uncommitted entries: what its predecessor
+   replicated to a majority but never committed then commits with no
+   further client entry. *)
+let test_new_leader_commits_predecessor () =
+  let f = make ~initial_leader:0 () in
+  let n = 5 in
+  let node = Raft.Group.node f.group in
+  for i = 1 to n do
+    ignore
+      (Engine.schedule_at f.engine (Sim_time.ms 10.) (fun () ->
+           Raft.Group.replicate f.group ~size:64 ~tag:i ~on_committed:(fun () -> ()) ()))
+  done;
+  ignore
+    (Engine.schedule_at f.engine (Sim_time.ms 60.) (fun () ->
+         (* Both followers hold the entries; no ack has reached the leader. *)
+         Alcotest.(check int) "leader commit at the crash" 0 (Raft.Node.commit_index (node 0));
+         List.iter
+           (fun id -> Alcotest.(check int) "follower log at the crash" n (Raft.Node.log_length (node id)))
+           [ 1; 2 ];
+         Raft.Group.crash f.group 0));
+  Engine.run_until f.engine (Sim_time.seconds 20.);
+  (match Raft.Group.leader_id f.group with
+  | Some id when id <> 0 -> ()
+  | _ -> Alcotest.fail "no new leader after crash");
+  List.iter
+    (fun id ->
+      let nd = node id in
+      Alcotest.(check bool) "holds the entries" true (Raft.Node.log_length nd >= n);
+      Alcotest.(check int) "committed to the last index" (Raft.Node.log_length nd)
+        (Raft.Node.commit_index nd))
+    [ 1; 2 ]
+
 let test_commit_requires_majority () =
   let f = make ~initial_leader:0 () in
   (* Crash both followers: nothing can commit. *)
@@ -303,6 +336,8 @@ let () =
           Alcotest.test_case "cold start elects one leader" `Quick test_cold_start_election;
           Alcotest.test_case "leader crash triggers reelection" `Quick test_leader_crash_reelection;
           Alcotest.test_case "old leader steps down" `Quick test_old_leader_steps_down;
+          Alcotest.test_case "new leader commits its predecessor's entries" `Quick
+            test_new_leader_commits_predecessor;
         ] );
       ( "safety",
         [
