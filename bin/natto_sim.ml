@@ -1,5 +1,6 @@
 (* Command-line interface over the simulator: run any single experiment
-   configuration, or regenerate a figure from the paper. *)
+   configuration, or regenerate figures from the paper (--figure, the one
+   figure entry point, which also writes BENCH_results.json). *)
 
 let system_names =
   [
